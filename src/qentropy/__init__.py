@@ -12,14 +12,12 @@ from .entropy import (
     entropy_by_quadrature,
     entropy_report_for_density,
     excess_entropy,
-    excess_entropy_dd,
     identity_residuals,
     kernel_integral,
     perturb_spectrum,
     s0_asymptotic,
     s0_exact,
     shannon,
-    two_state_excess,
     uniform_mixture_excess,
     von_neumann,
 )
@@ -31,6 +29,7 @@ from .errors import (
     InsufficientSamplesError,
     InvalidDistributionError,
     NegativeEigenvalueError,
+    NonFiniteEntryError,
     NonHermitianError,
     QentropyError,
     TraceDeviationError,

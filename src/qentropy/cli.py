@@ -180,15 +180,16 @@ def cmd_check(args) -> int:
         out.write("inequality,trials,violations,worst_margin\n")
         for r in reports:
             out.write(f"{r.inequality_id},{r.trials},{r.violations},{r.worst_margin:.12g}\n")
-    violated = False
     for r in reports:
-        if r.violations:
-            violated = True
-            for c in r.certificates:
-                print(f"VIOLATION {c.inequality_id} tag={c.tag} trial={c.trial} "
-                      f"seed={c.seed} stream={c.stream_id} dims={c.dims} "
-                      f"lhs={c.lhs:.12g} rhs={c.rhs:.12g} margin={c.margin:.12g}",
-                      file=sys.stderr)
+        for c in r.certificates:
+            print(f"VIOLATION {c.inequality_id} tag={c.tag} trial={c.trial} "
+                  f"seed={c.seed} stream={c.stream_id} dims={c.dims} "
+                  f"lhs={c.lhs:.12g} rhs={c.rhs:.12g} margin={c.margin:.12g}",
+                  file=sys.stderr)
+    # ei3 and the measurement scan are exploratory: their violations are
+    # findings, reported above but never a failed run
+    asserted = {"ei1", "ei2", "ei3a"}
+    violated = any(r.violations for r in reports if r.inequality_id in asserted)
     return EXIT_VIOLATION if violated else 0
 
 

@@ -5,6 +5,10 @@ class QentropyError(Exception):
     """Base class for all library errors."""
 
 
+class NonFiniteEntryError(QentropyError):
+    """An input probability or matrix entry is NaN or infinite."""
+
+
 class NonHermitianError(QentropyError):
     """Matrix asymmetry exceeds the Hermiticity tolerance."""
 
@@ -35,8 +39,9 @@ class InvalidDistributionError(QentropyError):
 
 class DegenerateSpectrumError(QentropyError):
     """A nonzero eigenvalue has multiplicity > 1; the pole expansion of the
-    outcome-weight density is singular.  Use the divided-difference closed
-    form, the Monte-Carlo path, or perturb_spectrum."""
+    outcome-weight density is singular.  Use excess_entropy (the subentropy
+    integral needs no distinct eigenvalues), the Monte-Carlo path, or
+    perturb_spectrum."""
 
 
 class InsufficientSamplesError(QentropyError):

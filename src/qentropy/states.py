@@ -4,6 +4,7 @@ Everything here is a pure function of its inputs; sampling takes an
 explicit RngStream so there is no hidden global state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from .errors import (
     DimensionMismatchError,
     IncompleteProjectorSetError,
     NegativeEigenvalueError,
+    NonFiniteEntryError,
     NonHermitianError,
     TraceDeviationError,
 )
@@ -101,13 +103,17 @@ class Spectrum:
 def spectrum_from_values(values, cluster_tolerance: float = CLUSTER_TOL) -> Spectrum:
     """Build a Spectrum from raw probabilities (sorted here; zeros kept)."""
     v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise NonFiniteEntryError("spectrum has a NaN or infinite entry")
     if np.any(v < -PSD_CLAMP):
         raise NegativeEigenvalueError(f"negative probability {v.min():g}")
     if abs(v.sum() - 1.0) > TRACE_TOL:
         raise TraceDeviationError(f"probabilities sum to {v.sum():.15g}, not 1")
     v = np.clip(v, 0.0, None)
     v = np.sort(v)[::-1]
-    v = v / v.sum()
+    # the exactly rounded sum makes the result independent of the input
+    # order and of zero padding
+    v = v / math.fsum(v.tolist())
     return Spectrum(v, cluster_tolerance)
 
 
@@ -123,6 +129,8 @@ def validate_density(raw) -> DensityMatrix:
     n = m.shape[0]
     if n < 1:
         raise DimensionMismatchError("dimension must be >= 1")
+    if not np.isfinite(m).all():
+        raise NonFiniteEntryError("matrix has a NaN or infinite entry")
     asym = np.max(np.abs(m - m.conj().T))
     if asym > HERMITICITY_TOL:
         raise NonHermitianError(f"asymmetry {asym:g} exceeds tolerance {HERMITICITY_TOL:g}")

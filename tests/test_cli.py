@@ -75,6 +75,23 @@ class TestEntropyCommand:
         assert code == 3
         assert "sum" in err
 
+    @pytest.mark.parametrize("text", ["nan 0.5 0.5", "inf 0.5 0.5"])
+    def test_non_finite_spectrum_exit_3(self, capsys, spectrum_file, text):
+        code, out, err = run(capsys, "entropy", "--spectrum", spectrum_file(text))
+        assert code == 3
+        assert out == ""
+        assert "validation error" in err
+
+    def test_nan_matrix_entry_exit_3(self, capsys, tmp_path):
+        # Python's json reads the bare token NaN as a float
+        path = tmp_path / "state.json"
+        path.write_text('{"format": "qentropy-density-matrix", "version": 1, "dim": 2, '
+                        '"matrix": [[NaN, 0], [0, 0], [0, 0], [0.5, 0]]}')
+        code, out, err = run(capsys, "entropy", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert "validation error" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "entropy", "--spectrum", "/nonexistent/path")
         assert code == 2
@@ -178,6 +195,27 @@ class TestExperimentCommands:
         code, out, _ = run(capsys, "check", "ei1", "ei2", "--trials", "5",
                            "--dims", "2x2", "--seed", "5")
         assert code == 0
+
+    @pytest.mark.parametrize("violated,expected", [("ei3", 0), ("ei1", 4)])
+    def test_check_exit_4_only_for_asserted_ids(self, capsys, monkeypatch,
+                                                violated, expected):
+        from qentropy import experiments
+
+        def synthetic(inequality_id):
+            rep = experiments.InequalityReport(inequality_id)
+            margin = -1.0 if inequality_id == violated else 0.5
+            rep.record(margin, experiments.Certificate(
+                inequality_id, 1, 0, 5, 0, (2, 2), lhs=0.0, rhs=margin, margin=margin))
+            return rep
+
+        monkeypatch.setattr(experiments, "inequality_suite", lambda trials, dims, rng: [
+            synthetic(i) for i in ("ei1", "ei2", "ei3", "ei3a")])
+        monkeypatch.setattr(experiments, "measurement_conjecture_scan",
+                            lambda trials, dim, rng: synthetic("measurement_monotonicity"))
+        code, out, err = run(capsys, "check", "--trials", "1")
+        assert code == expected
+        assert f"{violated},1,1," in out
+        assert err.startswith(f"VIOLATION {violated} ")
 
     def test_check_unknown_id(self, capsys):
         code, _, err = run(capsys, "check", "bogus", "--trials", "5")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from divided_difference import excess_by_table, two_state_excess
 
 from qentropy import (
     DegenerateSpectrumError,
@@ -18,7 +19,6 @@ from qentropy import (
     density_p,
     entropy_by_quadrature,
     excess_entropy,
-    excess_entropy_dd,
     haar_unitary,
     identity_residuals,
     kernel_integral,
@@ -27,7 +27,6 @@ from qentropy import (
     s0_exact,
     shannon,
     spectrum_from_values,
-    two_state_excess,
     uniform_mixture_excess,
     validate_density,
     von_neumann,
@@ -143,11 +142,11 @@ class TestExcessEntropy:
     @pytest.mark.parametrize("n", range(2, 21))
     def test_confluent_matches_uniform_closed_form(self, n):
         spec = spectrum_from_values([1.0 / n] * n)
-        assert excess_entropy_dd(spec) == pytest.approx(uniform_mixture_excess(n), abs=1e-10)
+        assert excess_entropy(spec) == pytest.approx(uniform_mixture_excess(n), abs=1e-10)
 
     def test_dd_matches_fast_paths(self):
         spec = spectrum_from_values([0.6, 0.4])
-        assert excess_entropy_dd(spec) == pytest.approx(two_state_excess(0.6, 0.4), abs=1e-12)
+        assert excess_entropy(spec) == pytest.approx(two_state_excess(0.6, 0.4), abs=1e-12)
 
     def test_partial_degeneracy(self):
         # cluster of two plus a distinct value: confluent limit of the
@@ -178,6 +177,58 @@ class TestExcessEntropy:
             parts = lam * excess_entropy(spectrum_from_values(p)) \
                 + (1 - lam) * excess_entropy(spectrum_from_values(q))
             assert mix >= parts - 1e-10
+
+
+class TestExcessAccuracy:
+    """|S_F - reference| <= 1e-13, the reference being the confluent
+    divided-difference table in extended precision or a closed form."""
+
+    TOL = 1e-13
+
+    def assert_matches_table(self, values):
+        spec = spectrum_from_values(values / np.sum(values))
+        assert abs(excess_entropy(spec) - excess_by_table(spec.values)) <= self.TOL
+
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 5000.0])
+    @pytest.mark.parametrize("n", [3, 8, 16, 32, 64])
+    def test_dirichlet(self, alpha, n):
+        gen = RngStream(53, n).generator()
+        for _ in range(2):
+            self.assert_matches_table(gen.dirichlet(np.full(n, alpha)))
+
+    @pytest.mark.parametrize("n", [5, 12, 16, 20])
+    def test_near_uniform(self, n):
+        self.assert_matches_table(1 + 0.01 * np.arange(n))
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-8])
+    def test_one_tight_gap(self, gap):
+        gen = RngStream(59).generator()
+        for _ in range(5):
+            v = gen.dirichlet(np.ones(6))
+            self.assert_matches_table(np.append(v, v[2] * (1 + gap)))
+
+    def test_tiny_eigenvalues(self):
+        gen = RngStream(61).generator()
+        for _ in range(5):
+            v = gen.dirichlet(np.ones(5))
+            self.assert_matches_table(np.append(v, [1e-300, 1e-200, 1e-30]))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 100, 1000, 10_000])
+    def test_uniform_mixture(self, n):
+        spec = spectrum_from_values(np.full(n, 1.0 / n))
+        assert abs(excess_entropy(spec) - uniform_mixture_excess(n)) <= self.TOL
+
+    def test_two_state_with_tiny_weight_is_nonnegative(self):
+        assert excess_entropy(spectrum_from_values([1.0, 1e-17])) >= 0.0
+
+    def test_permutation_and_zero_padding_are_exact(self):
+        gen = RngStream(67).generator()
+        for _ in range(50):
+            v = gen.dirichlet(np.ones(int(gen.integers(2, 12))))
+            f = excess_entropy(spectrum_from_values(v))
+            assert excess_entropy(spectrum_from_values(gen.permutation(v))) == f
+            padded = np.concatenate([v, np.zeros(int(gen.integers(1, 20)))])
+            assert excess_entropy(spectrum_from_values(gen.permutation(padded))) == f
 
 
 class TestAbsoluteEntropy:
@@ -220,6 +271,15 @@ class TestDensityP:
 
     def test_zero_above_top_eigenvalue(self):
         assert density_p(spectrum_from_values([0.7, 0.3]), 2, 0.8) == 0.0
+
+    def test_zero_below_smallest_eigenvalue(self):
+        # near-uniform spectrum whose pole expansion leaves float residues
+        # of order 1e4 below p_min
+        v = 1 + 0.01 * np.arange(12)
+        spec = spectrum_from_values(v / v.sum())
+        p_min = spec.values[-1]
+        for s in np.linspace(0.0, p_min, 50, endpoint=False):
+            assert density_p(spec, 12, float(s)) == 0.0
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSpectrumError):
