@@ -19,11 +19,11 @@ import numpy as np
 from . import experiments, io
 from .entropy import (
     absolute_entropy,
-    density_p,
+    density_curve,
     entropy_report_for_density,
     perturb_spectrum,
 )
-from .errors import DegenerateSpectrumError, QentropyError
+from .errors import DegenerateSpectrumError, DimensionMismatchError, QentropyError
 from .montecarlo import mc_entropy_estimate
 from .rng import DEFAULT_SEED, RngStream
 from .states import Spectrum, eig_hermitian, spectrum_from_values
@@ -129,14 +129,16 @@ def _diag_density(spec: Spectrum):
 
 
 def cmd_pdensity(args) -> int:
+    if args.grid < 1:
+        raise _CliError(f"--grid must be at least 1, got {args.grid}", EXIT_PARSE)
     spec, dim = _load_spectrum_and_dim(args)
     if args.perturb:
         spec = perturb_spectrum(spec, args.perturb)
-    grid = np.linspace(0.0, 1.0, args.grid)
+    curve = density_curve(spec, dim, args.grid)
     with _out_stream(args) as out:
         out.write("s,p\n")
-        for s in grid:
-            out.write(f"{s:.12g},{density_p(spec, dim, float(s)):.12g}\n")
+        out.writelines(f"{s:.12g},{p:.12g}\n" for s, p in
+                       zip(curve.grid.tolist(), curve.densities.tolist()))
     return 0
 
 
@@ -159,12 +161,26 @@ def cmd_inset(args) -> int:
     return 0
 
 
+def _parse_dims(text: str) -> list[tuple[int, int]]:
+    """--dims "NxM,..." as (N, M) pairs; any other form is a parse error."""
+    dims = []
+    for entry in text.split(","):
+        parts = entry.split("x")
+        try:
+            if len(parts) != 2:
+                raise ValueError(f"{entry!r} is not of the form NxM")
+            n, m = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise _CliError(f"bad --dims value {text!r}: {exc}", EXIT_PARSE) from exc
+        if n < 1 or m < 1:
+            raise DimensionMismatchError(f"--dims entry {entry!r} has a dimension below 1")
+        dims.append((n, m))
+    return dims
+
+
 def cmd_check(args) -> int:
     seed = _resolve_seed(args)
-    try:
-        dims = [tuple(int(x) for x in d.split("x")) for d in args.dims.split(",")]
-    except ValueError as exc:
-        raise _CliError(f"bad --dims value {args.dims!r}: {exc}", EXIT_PARSE) from exc
+    dims = _parse_dims(args.dims)
     known = {"ei1", "ei2", "ei3", "ei3a", "measurement_monotonicity"}
     wanted = set(args.ids) if args.ids else known
     if wanted - known:

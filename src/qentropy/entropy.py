@@ -137,13 +137,14 @@ def entropy_report_for_density(rho: DensityMatrix) -> EntropyReport:
     return absolute_entropy(spec, rho.dim)
 
 
-def _distinct_nodes_or_raise(spectrum: Spectrum, allow_zero_cluster: bool = True) -> np.ndarray:
+def _distinct_nodes_or_raise(reps: np.ndarray, mults: np.ndarray,
+                             allow_zero_cluster: bool = True) -> np.ndarray:
     """All eigenvalues as nodes; rejects nonzero values with multiplicity > 1.
 
-    A degenerate cluster at zero is tolerated where its terms drop out of
-    the sum anyway (density, quadrature), but not where every node enters.
+    Takes the clusters of Spectrum.clustered_values.  A degenerate cluster
+    at zero is tolerated where its terms drop out of the sum anyway
+    (density, quadrature), but not where every node enters.
     """
-    reps, mults = spectrum.clustered_values()
     for v, m in zip(reps, mults):
         if m > 1 and (v > 0.0 or not allow_zero_cluster):
             raise DegenerateSpectrumError(
@@ -151,38 +152,62 @@ def _distinct_nodes_or_raise(spectrum: Spectrum, allow_zero_cluster: bool = True
     return np.repeat(reps, mults)
 
 
-def density_p(spectrum: Spectrum, dim: int, s: float) -> float:
-    """Probability density of the outcome weight s = sum p_r |psi_r|^2.
+def _gap_products(nodes: np.ndarray) -> np.ndarray:
+    """prod_{r' != r} (p_r - p_{r'}) for every node r.
 
-    Closed form: (N-1) * sum over p_r > s of (p_r - s)^(N-2) divided by
-    the gap product prod_{r' != r} (p_r - p_{r'}).  Requires distinct
-    nonzero eigenvalues; zero outside [smallest, largest eigenvalue].
+    The factors are multiplied in node order, one column at a time, so each
+    product is the same float as a left-to-right scalar loop.
+    """
+    diff = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(diff, 1.0)
+    prods = np.ones(len(nodes))
+    for col in diff.T:
+        prods *= col
+    return prods
+
+
+def _density(spectrum: Spectrum, dim: int, s: np.ndarray) -> np.ndarray:
+    """The pole expansion of P(s) on an array of points, one pass per node.
+
+    Memory is O(len(s)): each nonzero eigenvalue adds its term to the whole
+    array at once, and the gap products are computed once per call.
     """
     if spectrum.dim != dim:
         raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
     if dim < 2:
         raise DimensionMismatchError("density requires dim >= 2")
-    if not 0.0 <= s <= 1.0:
-        raise InvalidDistributionError(f"s = {s:g} outside [0, 1]")
-    nodes = _distinct_nodes_or_raise(spectrum)
+    outside = s[~((s >= 0.0) & (s <= 1.0))]
+    if outside.size:
+        raise InvalidDistributionError(f"s = {outside[0]:g} outside [0, 1]")
+    nodes = _distinct_nodes_or_raise(*spectrum.clustered_values())
+    top = nodes[0]
+    total = np.zeros(s.shape)
+    for p, gap in zip(nodes, _gap_products(nodes)):
+        if p == 0.0:
+            continue
+        d = p - s
+        live = d > 0.0
+        if p == top:
+            # left-continuous at the top eigenvalue so the pure-state
+            # density is flat on the whole closed interval
+            live |= d == 0.0
+        np.add(total, d ** (dim - 2) / gap, out=total, where=live)
+    total *= dim - 1
     # below the smallest eigenvalue the terms cancel exactly in theory, but
     # not in floats: near-uniform spectra leave residues of order 1e4
-    if s < nodes[-1]:
-        return 0.0
-    top = nodes[0]
-    terms = []
-    for r, p in enumerate(nodes):
-        # left-continuous at the top eigenvalue so the pure-state density
-        # is flat on the whole closed interval
-        if not (p > s or (p == s == top)):
-            continue
-        prod = 1.0
-        for rp, q in enumerate(nodes):
-            if rp != r:
-                prod *= p - q
-        terms.append((p - s) ** (dim - 2) / prod)
-    val = (dim - 1) * math.fsum(terms)
-    return val if val > 0.0 else 0.0
+    return np.where((total > 0.0) & (s >= nodes[-1]), total, 0.0)
+
+
+def density_p(spectrum: Spectrum, dim: int, s: float) -> float:
+    """Probability density of the outcome weight s = sum p_r |psi_r|^2.
+
+    Closed form: (N-1) * sum over p_r > s of (p_r - s)^(N-2) divided by
+    the gap product prod_{r' != r} (p_r - p_{r'}).  Requires distinct
+    nonzero eigenvalues (DegenerateSpectrumError otherwise); zero outside
+    [smallest, largest eigenvalue].  The one-point case of density_curve,
+    with the same float result at the same s.
+    """
+    return float(_density(spectrum, dim, np.array([s], dtype=float))[0])
 
 
 def kernel_integral(p: float, dim: int) -> float:
@@ -206,19 +231,12 @@ def entropy_by_quadrature(spectrum: Spectrum, dim: int) -> float:
         raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
     if dim == 1:
         return 0.0
-    nodes = _distinct_nodes_or_raise(spectrum)
-    reps, _ = spectrum.clustered_values()
+    reps, mults = spectrum.clustered_values()
+    nodes = _distinct_nodes_or_raise(reps, mults)
     if _min_relative_gap(reps, dim) < _MP_GAP_THRESHOLD:
         return _quadrature_mp(nodes, dim)
-    terms = []
-    for r, p in enumerate(nodes):
-        if p == 0.0:
-            continue
-        prod = 1.0
-        for rp, q in enumerate(nodes):
-            if rp != r:
-                prod *= p - q
-        terms.append(-dim * (dim - 1) * kernel_integral(p, dim) / prod)
+    terms = [-dim * (dim - 1) * kernel_integral(p, dim) / gap
+             for p, gap in zip(nodes, _gap_products(nodes)) if p != 0.0]
     total = math.fsum(terms)
     if math.fsum(abs(t) for t in terms) > 1e4:
         return _quadrature_mp(nodes, dim)
@@ -251,7 +269,7 @@ def identity_residuals(spectrum: Spectrum, dim: int, s: float = 0.5):
     """
     if spectrum.dim != dim:
         raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
-    nodes = _distinct_nodes_or_raise(spectrum, allow_zero_cluster=False)
+    nodes = _distinct_nodes_or_raise(*spectrum.clustered_values(), allow_zero_cluster=False)
     with mpmath.workdps(40):
         zs = [mpmath.mpf(repr(float(z))) for z in nodes]
         sp = mpmath.mpf(repr(float(s)))
@@ -297,7 +315,7 @@ def perturb_spectrum(spectrum: Spectrum, epsilon: float) -> Spectrum:
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """density_p evaluated on a grid."""
+    """The outcome-weight density P(s) on a grid."""
 
     spectrum: Spectrum
     grid: np.ndarray
@@ -305,7 +323,10 @@ class DensityCurve:
 
 
 def density_curve(spectrum: Spectrum, dim: int, points: int) -> DensityCurve:
-    """Evaluate the outcome-weight density on a uniform grid over [0, 1]."""
+    """Evaluate the outcome-weight density on a uniform grid over [0, 1].
+
+    One vectorised pass per nonzero eigenvalue over the whole grid; the
+    values, checks and errors are those of density_p at each grid point.
+    """
     grid = np.linspace(0.0, 1.0, points)
-    dens = np.array([density_p(spectrum, dim, float(x)) for x in grid])
-    return DensityCurve(spectrum, grid, dens)
+    return DensityCurve(spectrum, grid, _density(spectrum, dim, grid))

@@ -21,6 +21,7 @@ from .entropy import (
     shannon,
     uniform_mixture_excess,
 )
+from .errors import DimensionMismatchError
 from .rng import RngStream
 from .states import (
     DensityMatrix,
@@ -100,6 +101,8 @@ def random_spectrum(dim: int, gen: np.random.Generator):
 
 def random_density_hs(dim: int, gen: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt random state: G G^dagger / trace for Ginibre G."""
+    if dim < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
     g = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2)
     m = g @ g.conj().T
     return validate_density(m / m.trace().real)

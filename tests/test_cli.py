@@ -163,6 +163,14 @@ class TestPdensityCommand:
         assert code == 5
         assert "--perturb" in err
 
+    @pytest.mark.parametrize("grid", ["0", "-5"])
+    def test_grid_below_one_exit_2(self, capsys, spectrum_file, grid):
+        code, out, err = run(capsys, "pdensity", "--spectrum", spectrum_file("0.7 0.3"),
+                             "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "--grid" in err
+
     def test_perturb_flag(self, capsys, spectrum_file):
         code, out, _ = run(capsys, "pdensity", "--spectrum",
                            spectrum_file("0.4 0.4 0.2"), "--grid", "11",
@@ -217,6 +225,19 @@ class TestExperimentCommands:
         assert f"{violated},1,1," in out
         assert err.startswith(f"VIOLATION {violated} ")
 
+    def test_check_dims_not_nxm_exit_2(self, capsys):
+        code, out, err = run(capsys, "check", "ei1", "--dims", "2", "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert "NxM" in err
+
+    @pytest.mark.parametrize("dims", ["-1x2", "-1x-2", "2x0"])
+    def test_check_dims_below_one_exit_3(self, capsys, dims):
+        code, out, err = run(capsys, "check", "ei1", f"--dims={dims}", "--trials", "1")
+        assert code == 3
+        assert out == ""
+        assert "validation error" in err
+
     def test_check_unknown_id(self, capsys):
         code, _, err = run(capsys, "check", "bogus", "--trials", "5")
         assert code == 2
@@ -232,6 +253,12 @@ class TestRandomStateRoundTrip:
         code2, out2, _ = run(capsys, "entropy", "--input", str(path))
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_negative_dim_exit_3(self, capsys):
+        code, out, err = run(capsys, "random-state", "--dim", "-1")
+        assert code == 3
+        assert out == ""
+        assert "validation error" in err
 
     def test_random_state_deterministic(self, capsys):
         _, out1, _ = run(capsys, "random-state", "--dim", "3", "--seed", "13")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -31,6 +32,28 @@ from qentropy import (
     validate_density,
     von_neumann,
 )
+
+
+def trapezoid(y, x):
+    return float(np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2)
+
+
+def pole_expansion_mp(values, dim, grid):
+    """The pole expansion of P(s) at 40 digits, with density_p's rules:
+    the top node counts at s = p_max, P = 0 below the smallest eigenvalue,
+    negative values clamp to 0."""
+    with mpmath.workdps(40):
+        zs = [mpmath.mpf(float(z)) for z in values]
+        gaps = [mpmath.fprod(p - q for rq, q in enumerate(zs) if rq != r)
+                for r, p in enumerate(zs)]
+        out = []
+        for s in grid:
+            sp = mpmath.mpf(float(s))
+            total = (dim - 1) * mpmath.fsum(
+                (p - sp) ** (dim - 2) / g for p, g in zip(zs, gaps)
+                if p != 0 and (p > sp or p == sp == zs[0]))
+            out.append(float(total) if sp >= zs[-1] and total > 0 else 0.0)
+        return np.array(out)
 
 
 def well_separated_spectrum(dim, gen, min_gap=0.02):
@@ -288,7 +311,7 @@ class TestDensityP:
     def test_normalized(self):
         spec = spectrum_from_values([0.5, 0.3, 0.2])
         curve = density_curve(spec, 3, 10_001)
-        integral = np.trapezoid(curve.densities, curve.grid)
+        integral = trapezoid(curve.densities, curve.grid)
         assert integral == pytest.approx(1.0, abs=1e-6)
         assert np.all(curve.densities >= 0.0)
 
@@ -296,8 +319,43 @@ class TestDensityP:
         # E[s] = 1/N for any spectrum (symmetry of the sphere average)
         spec = spectrum_from_values([0.6, 0.25, 0.15])
         curve = density_curve(spec, 3, 20_001)
-        mean = np.trapezoid(curve.grid * curve.densities, curve.grid)
+        mean = trapezoid(curve.grid * curve.densities, curve.grid)
         assert mean == pytest.approx(1 / 3, abs=1e-6)
+
+
+class TestDensityCurve:
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_matches_mp_pole_expansion(self, pad):
+        gen = RngStream(71, pad).generator()
+        for n in range(2, 9):
+            for _ in range(2):
+                v = np.concatenate([gen.dirichlet(np.ones(n)), np.zeros(pad)])
+                spec = spectrum_from_values(v)
+                curve = density_curve(spec, n + pad, 201)
+                ref = pole_expansion_mp(spec.values, n + pad, curve.grid)
+                assert np.max(np.abs(curve.densities - ref)) <= 1e-10 * ref.max()
+
+    @pytest.mark.parametrize("values", [[1.0, 0.0], [0.7, 0.3], [0.5, 0.3, 0.2],
+                                        [0.45, 0.3, 0.25, 0.0, 0.0],
+                                        [0.5, 0.25, 0.125, 0.0625, 0.0625 - 1e-3, 1e-3]])
+    def test_density_p_is_the_one_point_case(self, values):
+        spec = spectrum_from_values(values)
+        curve = density_curve(spec, len(values), 1001)
+        points = [density_p(spec, len(values), s) for s in curve.grid.tolist()]
+        assert points == curve.densities.tolist()
+
+    def test_value_at_both_eigenvalues(self):
+        # the grid 0, 1/4, 1/2, 3/4, 1 hits p_min and p_max exactly
+        curve = density_curve(spectrum_from_values([0.75, 0.25]), 2, 5)
+        assert curve.densities.tolist() == [0.0, 2.0, 2.0, 2.0, 0.0]
+
+    def test_rejects_degenerate(self):
+        with pytest.raises(DegenerateSpectrumError):
+            density_curve(spectrum_from_values([0.4, 0.4, 0.2]), 3, 11)
+
+    def test_rejects_dim_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            density_curve(spectrum_from_values([0.7, 0.3]), 3, 11)
 
 
 class TestKernelIntegral:

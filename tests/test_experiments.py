@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qentropy import EXCESS_BOUND, RngStream, s0_exact, uniform_mixture_excess
+from qentropy import (
+    EXCESS_BOUND,
+    DimensionMismatchError,
+    RngStream,
+    s0_exact,
+    uniform_mixture_excess,
+)
 from qentropy.experiments import (
     MARGIN_TOL,
     fig1_inset,
@@ -125,6 +131,13 @@ class TestMeasurementScan:
         before = entropy_report_for_density(rho).s_total
         after = entropy_report_for_density(sigma).s_total
         assert after == pytest.approx(before, abs=1e-9)
+
+
+class TestRandomDensity:
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_dim_below_one(self, dim):
+        with pytest.raises(DimensionMismatchError):
+            random_density_hs(dim, RngStream(197).generator())
 
 
 class TestCertificateReverify:
