@@ -33,6 +33,11 @@ EXIT_VALIDATION = 3
 EXIT_VIOLATION = 4
 EXIT_DEGENERATE = 5
 
+# Below this stderr relative to the mean, the MC spread is rounding noise
+# (every sample is equal in exact arithmetic, as for I/N) and lies under the
+# ~1e-13 error of S_F, so a z-score would compare noise with noise.
+_Z_MIN_RELATIVE_STDERR = 1e-12
+
 
 class _CliError(Exception):
     def __init__(self, message, code):
@@ -75,6 +80,11 @@ def _load_spectrum_and_dim(args) -> tuple[Spectrum, int]:
     raise _CliError("an input state is required (--input or --spectrum)", EXIT_PARSE)
 
 
+def _require_at_least(flag: str, value: int, low: int):
+    if value < low:
+        raise _CliError(f"{flag} must be at least {low}, got {value}", EXIT_PARSE)
+
+
 def _fmt(args, value: float) -> str:
     if getattr(args, "bits", False):
         value = value / math.log(2)
@@ -111,14 +121,17 @@ def cmd_mc(args) -> int:
     est = mc_entropy_estimate(rho, args.samples, RngStream(seed), mode=args.mode,
                               workers=args.workers)
     closed = absolute_entropy(spec, dim).s_total
-    z = (est.mean - closed) / est.stderr if est.stderr > 0 else 0.0
+    if est.stderr > _Z_MIN_RELATIVE_STDERR * abs(est.mean):
+        z = f"{(est.mean - closed) / est.stderr:.4f}"
+    else:
+        z = "n/a"
     unit = "bits" if args.bits else "nats"
     print(f"mean     = {_fmt(args, est.mean)} {unit}")
     print(f"stderr   = {_fmt(args, est.stderr)}")
     print(f"samples  = {est.samples}")
     print(f"seed     = {est.seed}")
     print(f"closed   = {_fmt(args, closed)} {unit}")
-    print(f"z        = {z:.4f}")
+    print(f"z        = {z}")
     return 0
 
 
@@ -129,8 +142,7 @@ def _diag_density(spec: Spectrum):
 
 
 def cmd_pdensity(args) -> int:
-    if args.grid < 1:
-        raise _CliError(f"--grid must be at least 1, got {args.grid}", EXIT_PARSE)
+    _require_at_least("--grid", args.grid, 1)
     spec, dim = _load_spectrum_and_dim(args)
     if args.perturb:
         spec = perturb_spectrum(spec, args.perturb)
@@ -143,6 +155,8 @@ def cmd_pdensity(args) -> int:
 
 
 def cmd_fig1(args) -> int:
+    _require_at_least("--count", args.count, 0)
+    _require_at_least("--max-n", args.max_n, 0)
     seed = _resolve_seed(args)
     curve = experiments.fig1_uniform_curve(args.max_n)
     dots = experiments.fig1_random_mixtures(args.dim, args.count, RngStream(seed))
@@ -154,6 +168,7 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_inset(args) -> int:
+    _require_at_least("--max-dim", args.max_dim, 0)
     with _out_stream(args) as out:
         out.write("dim,s0_exact,s0_asymptotic\n")
         for n, exact, asym in experiments.fig1_inset(args.max_dim):
@@ -179,6 +194,7 @@ def _parse_dims(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_check(args) -> int:
+    _require_at_least("--trials", args.trials, 0)
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
     known = {"ei1", "ei2", "ei3", "ei3a", "measurement_monotonicity"}

@@ -50,8 +50,12 @@ def shannon(probs) -> float:
         raise InvalidDistributionError(f"negative probability {p.min():g}")
     if abs(p.sum() - 1.0) > 1e-10:
         raise InvalidDistributionError(f"probabilities sum to {p.sum():.15g}")
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)))
+    return float(_shannon_rows(p[p > 0.0]))
+
+
+def _shannon_rows(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p along the last axis, with 0 ln 0 = 0; no checks."""
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
 def von_neumann(rho: DensityMatrix) -> float:
@@ -106,9 +110,22 @@ def excess_entropy(spectrum: Spectrum) -> float:
     zeros and tiny eigenvalues need no special case.
     """
     x = spectrum.values[spectrum.values > 0.0]
-    big_l = np.log1p(x / _T[:, None]).sum(axis=1)
-    f = float(_W @ (_EXP_A * -np.expm1(-(big_l + _A))))
-    return f if f > 0.0 else 0.0
+    return float(_excess_rows(x[None])[0])
+
+
+def _excess_rows(x: np.ndarray) -> np.ndarray:
+    """S_F of each row of a (k, n) array of eigenvalues; no checks.
+
+    A zero entry adds ln(1 + 0) = 0 to the log-sum, so rows may keep the
+    zeros of clamped eigenvalues.
+    """
+    terms = x[:, None, :] / _T[:, None]
+    big_l = np.log1p(terms, out=terms).sum(axis=2)
+    integrand = _EXP_A * -np.expm1(-(big_l + _A))
+    # a stack of (1, 240) @ (240,) products takes one dot per row, so a
+    # row gets the same float in any batch as on its own
+    f = (integrand[:, None, :] @ _W)[:, 0]
+    return np.where(f > 0.0, f, 0.0)
 
 
 @dataclass(frozen=True)

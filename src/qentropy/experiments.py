@@ -3,7 +3,9 @@ the entropy inequality suites, and the projective-measurement scan.
 
 Every random trial draws from its own substream, so any violation can be
 re-generated from the (seed, stream_id, tag, trial) recorded in its
-certificate.
+certificate.  Trials run in blocks: each trial still draws from its own
+substream, and then each step (Ginibre product, validation, eigenvalues,
+partial trace, QR, S_F) runs once on the whole block.
 """
 
 import math
@@ -12,29 +14,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import (
-    EULER_GAMMA,
-    absolute_entropy,
-    entropy_report_for_density,
-    excess_entropy,
+    _excess_rows,
+    _shannon_rows,
     s0_asymptotic,
     s0_exact,
-    shannon,
     uniform_mixture_excess,
 )
-from .errors import DimensionMismatchError
 from .rng import RngStream
 from .states import (
     DensityMatrix,
-    basis_projectors,
-    eig_hermitian,
-    haar_unitary,
-    partial_trace,
-    projective_update,
+    _dagger,
+    _dephase_stack,
+    _ginibre,
+    _haar_from_normals,
+    _kron_stack,
+    _partial_trace_stack,
+    _spectra,
+    _validated_stack,
     spectrum_from_values,
-    tensor,
-    validate_density,
 )
-from .states import _haar_from_generator
 
 MARGIN_TOL = 1e-9
 
@@ -51,6 +49,13 @@ TAG_EI3_PRODUCT = 3
 TAG_EI3_CORRELATED = 4
 TAG_MEASUREMENT = 5
 TAG_FIG1_MIXTURES = 6
+
+# Trials per block: enough to spread numpy's per-call cost over many small
+# matrices, few enough that a block's arrays (k x 240 x N for S_F, k x N x N
+# per state) stay a few MB at any trial count.  Above N = 16 blocks shrink
+# so that k * N^2 stays within _BLOCK_ENTRIES.
+_BLOCK = 128
+_BLOCK_ENTRIES = 128 * 16 * 16
 
 
 @dataclass(frozen=True)
@@ -99,17 +104,29 @@ def random_spectrum(dim: int, gen: np.random.Generator):
     return spectrum_from_values(gen.dirichlet(np.ones(dim)))
 
 
+def _hs_states(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G G^dagger / trace for a (k, n, n) Ginibre stack, validated; with the
+    ascending eigenvalues of each state."""
+    m = g @ _dagger(g)
+    return _validated_stack(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
+
+
 def random_density_hs(dim: int, gen: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt random state: G G^dagger / trace for Ginibre G."""
-    if dim < 1:
-        raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
-    g = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2)
-    m = g @ g.conj().T
-    return validate_density(m / m.trace().real)
+    rho, _ = _hs_states(_ginibre([gen], dim)[0])
+    return DensityMatrix(dim, rho[0])
 
 
 def _trial_gen(rng: RngStream, tag: int, trial: int) -> np.random.Generator:
     return rng.child(tag * _TAG_STRIDE + trial)
+
+
+def _blocks(first: int, count: int, dim: int):
+    """Trials first .. first + count - 1 as ranges of at most _BLOCK, for
+    states of dimension dim."""
+    step = max(1, min(_BLOCK, _BLOCK_ENTRIES // max(1, dim * dim)))
+    stop = first + count
+    return (range(s, min(s + step, stop)) for s in range(first, stop, step))
 
 
 def fig1_uniform_curve(max_n: int) -> list[Fig1Row]:
@@ -131,10 +148,14 @@ def uniform_curve_interpolation(s_h: float, max_n: int = 64) -> float:
 def fig1_random_mixtures(dim: int, count: int, rng: RngStream) -> list[Fig1Row]:
     """Scatter of randomly mixed states (flat Dirichlet spectra)."""
     rows = []
-    for t in range(count):
-        spec = random_spectrum(dim, _trial_gen(rng, TAG_FIG1_MIXTURES, t))
-        rows.append(Fig1Row(s_h=shannon(spec.values), s_f=excess_entropy(spec),
-                            label="random_mixture", n=0, dim=dim))
+    for block in _blocks(0, count, dim):
+        draws = np.array([_trial_gen(rng, TAG_FIG1_MIXTURES, t).dirichlet(np.ones(dim))
+                          for t in block])
+        # sorted and normalised as spectrum_from_values does it, row by row
+        p = np.sort(draws, axis=1)[:, ::-1]
+        p = p / np.array([math.fsum(row) for row in p.tolist()])[:, None]
+        rows += [Fig1Row(s_h=s_h, s_f=s_f, label="random_mixture", n=0, dim=dim)
+                 for s_h, s_f in zip(_shannon_rows(p).tolist(), _excess_rows(p).tolist())]
     return rows
 
 
@@ -143,8 +164,90 @@ def fig1_inset(max_dim: int) -> list[tuple[int, float, float]]:
     return [(n, s0_exact(n), s0_asymptotic(n)) for n in range(1, max_dim + 1)]
 
 
-def _subsystem_report(rho: DensityMatrix, dims, keep):
-    return entropy_report_for_density(partial_trace(rho, dims, keep))
+# The random trials.  Each takes one generator per trial and the trial's
+# dims, draws every trial's state from its own generator in a fixed order,
+# and returns (lhs, rhs) arrays over the block; the margin is rhs - lhs.
+
+def _excess(evals: np.ndarray) -> np.ndarray:
+    return _excess_rows(_spectra(evals))
+
+
+def _total(evals: np.ndarray) -> np.ndarray:
+    """Absolute entropy S = s0(N) + F of states with these eigenvalues."""
+    return s0_exact(evals.shape[1]) + _excess(evals)
+
+
+def _reduced(rho: np.ndarray, dims, keep: int) -> np.ndarray:
+    """Eigenvalues of subsystem `keep` of each bipartite state."""
+    return np.linalg.eigvalsh(_partial_trace_stack(rho, dims, keep))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each product state a x b."""
+    return np.linalg.eigvalsh(_kron_stack(a, b))
+
+
+def _ei1(gens, dims):
+    """A subsystem needs less information than the whole: S(A) <= S(AB)."""
+    n, m = dims
+    rho, evals = _hs_states(_ginibre(gens, n * m)[0])
+    return _total(_reduced(rho, dims, 0)), _total(evals)
+
+
+def _ei2(gens, dims):
+    """Superadditivity on product states: S(A) + S(B) <= S(A x B)."""
+    (a, ev_a), (b, ev_b) = (_hs_states(g) for g in _ginibre(gens, *dims))
+    return _total(ev_a) + _total(ev_b), _total(_product(a, b))
+
+
+def _ei3_product(gens, dims):
+    """Excess subadditivity on product states: F(A x B) <= F(A) + F(B)."""
+    (a, ev_a), (b, ev_b) = (_hs_states(g) for g in _ginibre(gens, *dims))
+    return _excess(_product(a, b)), _excess(ev_a) + _excess(ev_b)
+
+
+def _ei3_correlated(gens, dims):
+    """Excess subadditivity on correlated states: F(AB) <= F(A) + F(B)."""
+    n, m = dims
+    rho, evals = _hs_states(_ginibre(gens, n * m)[0])
+    return _excess(evals), _excess(_reduced(rho, dims, 0)) + _excess(_reduced(rho, dims, 1))
+
+
+def _measurement(gens, dims):
+    """A projective measurement in a Haar-random basis: S(rho) <= S(sigma)."""
+    (dim,) = dims
+    g, z = _ginibre(gens, dim, dim)
+    rho, evals = _hs_states(g)
+    sigma = _dephase_stack(rho, _haar_from_normals(z))
+    return _total(evals), _total(np.linalg.eigvalsh(sigma))
+
+
+# (inequality id, substream tag) -> trial
+_TRIALS = {
+    ("ei1", TAG_EI1): _ei1,
+    ("ei2", TAG_EI2): _ei2,
+    ("ei3", TAG_EI3_PRODUCT): _ei3_product,
+    ("ei3", TAG_EI3_CORRELATED): _ei3_correlated,
+    ("measurement_monotonicity", TAG_MEASUREMENT): _measurement,
+}
+
+
+def _ei3a(dims):
+    """Superadditivity of the minimum uncertainty entropy: s0(N) + s0(M) <= s0(NM)."""
+    n, m = dims
+    return s0_exact(n) + s0_exact(m), s0_exact(n * m)
+
+
+def _run(report: InequalityReport, tag: int, first: int, count: int, dims,
+         rng: RngStream):
+    """Record trials first .. first + count - 1 of one trial kind into report."""
+    trial_fn = _TRIALS[report.inequality_id, tag]
+    for block in _blocks(first, count, math.prod(dims)):
+        lhs, rhs = trial_fn([_trial_gen(rng, tag, t) for t in block], dims)
+        for t, left, right in zip(block, lhs.tolist(), rhs.tolist()):
+            report.record(right - left, Certificate(
+                report.inequality_id, tag, t, rng.seed, rng.stream_id, dims,
+                lhs=left, rhs=right, margin=right - left))
 
 
 def inequality_suite(trials: int, dims, rng: RngStream) -> list[InequalityReport]:
@@ -161,54 +264,18 @@ def inequality_suite(trials: int, dims, rng: RngStream) -> list[InequalityReport
     ei3 = InequalityReport("ei3")
     ei3a = InequalityReport("ei3a")
 
-    for di, (n, m) in enumerate(dims):
-        for t in range(trials):
-            trial = di * trials + t
-
-            gen = _trial_gen(rng, TAG_EI1, trial)
-            rho = random_density_hs(n * m, gen)
-            s_whole = entropy_report_for_density(rho).s_total
-            s_part = _subsystem_report(rho, (n, m), 0).s_total
-            ei1.record(s_whole - s_part, Certificate(
-                "ei1", TAG_EI1, trial, rng.seed, rng.stream_id, (n, m),
-                lhs=s_part, rhs=s_whole, margin=s_whole - s_part))
-
-            gen = _trial_gen(rng, TAG_EI2, trial)
-            a = random_density_hs(n, gen)
-            b = random_density_hs(m, gen)
-            prod = tensor(a, b)
-            s_ab = entropy_report_for_density(prod).s_total
-            s_a = entropy_report_for_density(a).s_total
-            s_b = entropy_report_for_density(b).s_total
-            ei2.record(s_ab - s_a - s_b, Certificate(
-                "ei2", TAG_EI2, trial, rng.seed, rng.stream_id, (n, m),
-                lhs=s_a + s_b, rhs=s_ab, margin=s_ab - s_a - s_b))
-
-            gen = _trial_gen(rng, TAG_EI3_PRODUCT, trial)
-            a = random_density_hs(n, gen)
-            b = random_density_hs(m, gen)
-            f_ab = entropy_report_for_density(tensor(a, b)).s_f
-            f_a = entropy_report_for_density(a).s_f
-            f_b = entropy_report_for_density(b).s_f
-            ei3.record(f_a + f_b - f_ab, Certificate(
-                "ei3", TAG_EI3_PRODUCT, trial, rng.seed, rng.stream_id, (n, m),
-                lhs=f_ab, rhs=f_a + f_b, margin=f_a + f_b - f_ab))
-
-            gen = _trial_gen(rng, TAG_EI3_CORRELATED, trial)
-            rho = random_density_hs(n * m, gen)
-            f_whole = entropy_report_for_density(rho).s_f
-            f_a = _subsystem_report(rho, (n, m), 0).s_f
-            f_b = _subsystem_report(rho, (n, m), 1).s_f
-            ei3.record(f_a + f_b - f_whole, Certificate(
-                "ei3", TAG_EI3_CORRELATED, trial, rng.seed, rng.stream_id, (n, m),
-                lhs=f_whole, rhs=f_a + f_b, margin=f_a + f_b - f_whole))
+    for di, nm in enumerate(dims):
+        nm = tuple(nm)
+        for report, tag in ((ei1, TAG_EI1), (ei2, TAG_EI2),
+                            (ei3, TAG_EI3_PRODUCT), (ei3, TAG_EI3_CORRELATED)):
+            _run(report, tag, di * trials, trials, nm, rng)
 
     for n in range(2, 9):
         for m in range(2, 9):
-            margin = s0_exact(n * m) - s0_exact(n) - s0_exact(m)
-            ei3a.record(margin, Certificate(
+            lhs, rhs = _ei3a((n, m))
+            ei3a.record(rhs - lhs, Certificate(
                 "ei3a", 0, 0, rng.seed, rng.stream_id, (n, m),
-                lhs=s0_exact(n) + s0_exact(m), rhs=s0_exact(n * m), margin=margin))
+                lhs=lhs, rhs=rhs, margin=rhs - lhs))
 
     return [ei1, ei2, ei3, ei3a]
 
@@ -220,62 +287,26 @@ def measurement_conjecture_scan(trials: int, dim: int, rng: RngStream) -> Inequa
     recorded as certificates, not errors.
     """
     report = InequalityReport("measurement_monotonicity")
-    for t in range(trials):
-        gen = _trial_gen(rng, TAG_MEASUREMENT, t)
-        rho = random_density_hs(dim, gen)
-        u = _haar_from_generator(dim, gen)
-        projectors = [np.outer(u[:, j], u[:, j].conj()) for j in range(dim)]
-        sigma = projective_update(rho, projectors)
-        s_before = entropy_report_for_density(rho).s_total
-        s_after = entropy_report_for_density(sigma).s_total
-        report.record(s_after - s_before, Certificate(
-            "measurement_monotonicity", TAG_MEASUREMENT, t, rng.seed,
-            rng.stream_id, (dim,), lhs=s_before, rhs=s_after,
-            margin=s_after - s_before))
+    _run(report, TAG_MEASUREMENT, 0, trials, (dim,), rng)
     return report
 
 
 def reverify_certificate(cert: Certificate) -> float:
-    """Recompute a certificate's margin from its recorded seed; returns it."""
-    rng = RngStream(cert.seed, cert.stream_id)
-    gen = rng.child(cert.tag * _TAG_STRIDE + cert.trial)
-    if cert.inequality_id == "ei1":
-        n, m = cert.dims
-        rho = random_density_hs(n * m, gen)
-        return (entropy_report_for_density(rho).s_total
-                - _subsystem_report(rho, (n, m), 0).s_total)
-    if cert.inequality_id == "ei2":
-        n, m = cert.dims
-        a = random_density_hs(n, gen)
-        b = random_density_hs(m, gen)
-        return (entropy_report_for_density(tensor(a, b)).s_total
-                - entropy_report_for_density(a).s_total
-                - entropy_report_for_density(b).s_total)
-    if cert.inequality_id == "ei3" and cert.tag == TAG_EI3_PRODUCT:
-        n, m = cert.dims
-        a = random_density_hs(n, gen)
-        b = random_density_hs(m, gen)
-        return (entropy_report_for_density(a).s_f
-                + entropy_report_for_density(b).s_f
-                - entropy_report_for_density(tensor(a, b)).s_f)
-    if cert.inequality_id == "ei3" and cert.tag == TAG_EI3_CORRELATED:
-        n, m = cert.dims
-        rho = random_density_hs(n * m, gen)
-        return (_subsystem_report(rho, (n, m), 0).s_f
-                + _subsystem_report(rho, (n, m), 1).s_f
-                - entropy_report_for_density(rho).s_f)
-    if cert.inequality_id == "measurement_monotonicity":
-        (dim,) = cert.dims
-        rho = random_density_hs(dim, gen)
-        u = _haar_from_generator(dim, gen)
-        projectors = [np.outer(u[:, j], u[:, j].conj()) for j in range(dim)]
-        sigma = projective_update(rho, projectors)
-        return (entropy_report_for_density(sigma).s_total
-                - entropy_report_for_density(rho).s_total)
+    """Recompute a certificate's margin from its recorded seed; returns it.
+
+    The random kinds rerun their trial as a block of one, through the same
+    code as the run that recorded it.
+    """
+    dims = tuple(cert.dims)
     if cert.inequality_id == "ei3a":
-        n, m = cert.dims
-        return s0_exact(n * m) - s0_exact(n) - s0_exact(m)
-    raise ValueError(f"unknown certificate kind {cert.inequality_id!r}")
+        lhs, rhs = _ei3a(dims)
+        return rhs - lhs
+    trial_fn = _TRIALS.get((cert.inequality_id, cert.tag))
+    if trial_fn is None:
+        raise ValueError(f"unknown certificate kind {cert.inequality_id!r}")
+    gen = _trial_gen(RngStream(cert.seed, cert.stream_id), cert.tag, cert.trial)
+    lhs, rhs = trial_fn([gen], dims)
+    return float(rhs[0] - lhs[0])
 
 
 def harmonic_chain_margins(max_dim: int = 8) -> list[tuple[int, int, int, int, float]]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InsufficientSamplesError
 from .rng import RngStream
-from .states import DensityMatrix, Spectrum, eig_hermitian
+from .states import DensityMatrix, Spectrum, _haar_from_normals, eig_hermitian
 
 CHUNK_SAMPLES = 25_000
 
@@ -67,10 +67,7 @@ def _chunk_values(p: np.ndarray, count: int, gen: np.random.Generator, mode: str
     if mode == "basis":
         z = (gen.standard_normal((count, n, n))
              + 1j * gen.standard_normal((count, n, n))) / np.sqrt(2)
-        q, r = np.linalg.qr(z)
-        d = np.einsum("kii->ki", r)
-        q = q * (d / np.abs(d))[:, None, :]
-        probs = np.einsum("r,kra->ka", p, np.abs(q) ** 2)
+        probs = np.einsum("r,kra->ka", p, np.abs(_haar_from_normals(z)) ** 2)
         return _f(probs).sum(axis=1)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -117,6 +117,33 @@ def spectrum_from_values(values, cluster_tolerance: float = CLUSTER_TOL) -> Spec
     return Spectrum(v, cluster_tolerance)
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _validated_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of validate_density on a (k, n, n) stack of matrices.
+
+    Returns the symmetrized stack and its eigenvalues, ascending per
+    matrix: the one eigvalsh that checks positivity also gives the spectra.
+    """
+    if not np.isfinite(m).all():
+        raise NonFiniteEntryError("matrix has a NaN or infinite entry")
+    asym = np.max(np.abs(m - _dagger(m)))
+    if asym > HERMITICITY_TOL:
+        raise NonHermitianError(f"asymmetry {asym:g} exceeds tolerance {HERMITICITY_TOL:g}")
+    m = 0.5 * (m + _dagger(m))
+    tr = np.trace(m, axis1=1, axis2=2).real
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise TraceDeviationError(f"trace {tr[off][0]:.15g} deviates from 1")
+    evals = np.linalg.eigvalsh(m)
+    low = evals[:, 0].min()
+    if low < -PSD_CLAMP:
+        raise NegativeEigenvalueError(f"smallest eigenvalue {low:g} below -{PSD_CLAMP:g}")
+    return m, evals
+
+
 def validate_density(raw) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; symmetrize roundoff.
 
@@ -129,19 +156,8 @@ def validate_density(raw) -> DensityMatrix:
     n = m.shape[0]
     if n < 1:
         raise DimensionMismatchError("dimension must be >= 1")
-    if not np.isfinite(m).all():
-        raise NonFiniteEntryError("matrix has a NaN or infinite entry")
-    asym = np.max(np.abs(m - m.conj().T))
-    if asym > HERMITICITY_TOL:
-        raise NonHermitianError(f"asymmetry {asym:g} exceeds tolerance {HERMITICITY_TOL:g}")
-    m = 0.5 * (m + m.conj().T)
-    tr = m.trace().real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceDeviationError(f"trace {tr:.15g} deviates from 1")
-    evals = np.linalg.eigvalsh(m)
-    if evals[0] < -PSD_CLAMP:
-        raise NegativeEigenvalueError(f"smallest eigenvalue {evals[0]:g} below -{PSD_CLAMP:g}")
-    return DensityMatrix(n, m)
+    m, _ = _validated_stack(m[None])
+    return DensityMatrix(n, m[0])
 
 
 def pure_density(psi: PureState) -> DensityMatrix:
@@ -150,18 +166,21 @@ def pure_density(psi: PureState) -> DensityMatrix:
     return validate_density(np.outer(v, v.conj()))
 
 
+def _spectra(evals: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (last axis) as descending, clamped, renormalized spectra."""
+    v = np.clip(evals[..., ::-1], 0.0, None)
+    return v / v.sum(axis=-1, keepdims=True)
+
+
 def eig_hermitian(rho: DensityMatrix, cluster_tolerance: float = CLUSTER_TOL):
     """Spectrum (descending, clamped, renormalized) and eigenbasis of rho."""
     try:
         evals, evecs = np.linalg.eigh(rho.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailureError(str(exc)) from exc
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    evals = np.clip(evals, 0.0, None)
-    evals = evals / evals.sum()
-    return Spectrum(evals, cluster_tolerance), MeasurementBasis(rho.dim, evecs)
+    # eigh returns the eigenvalues in ascending order
+    return (Spectrum(_spectra(evals), cluster_tolerance),
+            MeasurementBasis(rho.dim, evecs[:, ::-1]))
 
 
 def haar_unitary(dim: int, rng: RngStream) -> MeasurementBasis:
@@ -170,15 +189,34 @@ def haar_unitary(dim: int, rng: RngStream) -> MeasurementBasis:
     The phase correction of R's diagonal is what makes the distribution
     unitarily invariant; plain QR of a Gaussian matrix is not Haar.
     """
-    gen = rng.generator()
-    return MeasurementBasis(dim, _haar_from_generator(dim, gen))
+    return MeasurementBasis(dim, _haar_from_normals(_ginibre([rng.generator()], dim)[0])[0])
 
 
-def _haar_from_generator(dim: int, gen: np.random.Generator) -> np.ndarray:
-    z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2)
+def _ginibre(gens, *dims: int) -> list[np.ndarray]:
+    """Complex Ginibre matrices, one (len(gens), n, n) stack per n in dims.
+
+    Generator i fills entry i of every stack.  It draws the sizes in the
+    order given, each as an n x n block of real parts and then one of
+    imaginary parts, so entry i holds the same numbers that separate
+    per-matrix draws from that generator would give.
+    """
+    if min(dims) < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {min(dims)}")
+    sizes = [2 * n * n for n in dims]
+    raw = np.array([gen.standard_normal(sum(sizes)) for gen in gens])
+    out, start = [], 0
+    for n, size in zip(dims, sizes):
+        block = raw[:, start:start + size].reshape(len(gens), 2, n, n)
+        out.append((block[:, 0] + 1j * block[:, 1]) / np.sqrt(2))
+        start += size
+    return out
+
+
+def _haar_from_normals(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (k, n, n) Ginibre stack: QR with phase correction."""
     q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_pure_state(dim: int, rng: RngStream) -> PureState:
@@ -188,9 +226,23 @@ def random_pure_state(dim: int, rng: RngStream) -> PureState:
     return PureState(dim, z / np.linalg.norm(z))
 
 
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of matching entries of a (k, n, n) and a (k, m, m) stack."""
+    k, n, m = len(a), a.shape[1], b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, n * m, n * m)
+
+
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product state of two independent subsystems."""
-    return DensityMatrix(a.dim * b.dim, np.kron(a.matrix, b.matrix))
+    return DensityMatrix(a.dim * b.dim, _kron_stack(a.matrix[None], b.matrix[None])[0])
+
+
+def _partial_trace_stack(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """The reduction of partial_trace on a (k, n*m, n*m) stack."""
+    n, m = dims
+    t = rho.reshape(len(rho), n, m, n, m)
+    red = np.einsum("kimjm->kij" if keep == 0 else "kimin->kmn", t)
+    return 0.5 * (red + _dagger(red))
 
 
 def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> DensityMatrix:
@@ -200,12 +252,8 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> Densi
         raise DimensionMismatchError(f"state dim {rho.dim} != {n}*{m}")
     if keep not in (0, 1):
         raise DimensionMismatchError("keep must be 0 or 1")
-    t = rho.matrix.reshape(n, m, n, m)
-    if keep == 0:
-        red = np.einsum("imjm->ij", t)
-    else:
-        red = np.einsum("imin->mn", t)
-    return DensityMatrix(red.shape[0], 0.5 * (red + red.conj().T))
+    red = _partial_trace_stack(rho.matrix[None], dims, keep)[0]
+    return DensityMatrix(red.shape[0], red)
 
 
 def projective_update(rho: DensityMatrix, projectors) -> DensityMatrix:
@@ -223,6 +271,20 @@ def projective_update(rho: DensityMatrix, projectors) -> DensityMatrix:
     for p in projectors:
         out += p @ rho.matrix @ p
     return DensityMatrix(n, 0.5 * (out + out.conj().T))
+
+
+def _dephase_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_j P_j rho P_j for the projectors P_j onto the columns of each u.
+
+    Computed as U diag(U† rho U) U†.  Each u must be unitary: then the P_j
+    form a complete orthogonal set, which projective_update checks.
+    """
+    n = u.shape[1]
+    if np.max(np.abs(_dagger(u) @ u - np.eye(n))) > TRACE_TOL:
+        raise IncompleteProjectorSetError("measurement basis is not orthonormal")
+    q = np.einsum("kia,kij,kja->ka", u.conj(), rho, u).real
+    out = (u * q[:, None, :]) @ _dagger(u)
+    return 0.5 * (out + _dagger(out))
 
 
 def basis_projectors(basis: MeasurementBasis) -> list[np.ndarray]:

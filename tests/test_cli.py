@@ -112,6 +112,13 @@ class TestMcCommand:
         z = float(out.splitlines()[-1].split("=")[1])
         assert abs(z) <= 4
 
+    def test_z_not_available_for_rounding_level_spread(self, capsys, spectrum_file):
+        # every sample is ln 2 in exact arithmetic; the spread is rounding
+        code, out, _ = run(capsys, "mc", "--spectrum", spectrum_file("0.5 0.5"),
+                           "--samples", "1000")
+        assert code == 0
+        assert out.splitlines()[-1] == "z        = n/a"
+
     def test_deterministic_given_seed(self, capsys, spectrum_file):
         path = spectrum_file("0.75 0.25")
         _, out1, _ = run(capsys, "mc", "--spectrum", path, "--samples", "5000",
@@ -237,6 +244,40 @@ class TestExperimentCommands:
         assert code == 3
         assert out == ""
         assert "validation error" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["check", "ei1", "--trials", "-1"], "--trials"),
+        (["fig1", "--count", "-1"], "--count"),
+        (["fig1", "--max-n", "-1"], "--max-n"),
+        (["inset", "--max-dim", "-1"], "--max-dim"),
+    ])
+    def test_negative_count_exit_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be at least 0, got -1" in err
+
+    def test_check_zero_trials(self, capsys):
+        code, out, _ = run(capsys, "check", "ei1", "--trials", "0")
+        assert code == 0
+        assert out == "inequality,trials,violations,worst_margin\nei1,0,0,inf\n"
+
+    def test_fig1_zero_count_prints_only_the_curve(self, capsys):
+        code, out, _ = run(capsys, "fig1", "--count", "0", "--max-n", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "label,n,dim,s_h,s_f"
+        assert [line.split(",")[0] for line in lines[1:]] == ["uniform"] * 3
+
+    def test_fig1_zero_max_n_prints_only_the_dots(self, capsys):
+        code, out, _ = run(capsys, "fig1", "--count", "2", "--max-n", "0")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["random_mixture"] * 2
+
+    def test_inset_zero_max_dim(self, capsys):
+        code, out, _ = run(capsys, "inset", "--max-dim", "0")
+        assert code == 0
+        assert out == "dim,s0_exact,s0_asymptotic\n"
 
     def test_check_unknown_id(self, capsys):
         code, _, err = run(capsys, "check", "bogus", "--trials", "5")

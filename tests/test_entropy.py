@@ -84,6 +84,28 @@ class TestShannon:
             shannon([1.2, -0.2])
 
 
+class TestRows:
+    """The batched S_F and Shannon helpers give each row the float it gets alone."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 9, 33])
+    def test_rows_match_one_at_a_time(self, dim):
+        from qentropy.entropy import _excess_rows, _shannon_rows
+
+        gen = np.random.default_rng(dim)
+        specs = [spectrum_from_values(gen.dirichlet(np.ones(dim))) for _ in range(50)]
+        rows = np.stack([s.values for s in specs])
+        assert _excess_rows(rows).tolist() == [excess_entropy(s) for s in specs]
+        assert _shannon_rows(rows).tolist() == [shannon(s.values) for s in specs]
+
+    def test_zero_entries_add_nothing(self):
+        from qentropy.entropy import _excess_rows, _shannon_rows
+
+        rows = np.array([[0.5, 0.3, 0.2, 0.0], [0.6, 0.4, 0.0, 0.0]])
+        spec = [spectrum_from_values(r[r > 0]) for r in rows]
+        assert _excess_rows(rows).tolist() == [excess_entropy(s) for s in spec]
+        assert _shannon_rows(rows).tolist() == [shannon(s.values) for s in spec]
+
+
 class TestVonNeumann:
     def test_pure_state(self):
         psi = np.array([1.0, 1.0]) / np.sqrt(2)

@@ -10,8 +10,14 @@ from qentropy import (
     s0_exact,
     uniform_mixture_excess,
 )
+from qentropy import experiments
 from qentropy.experiments import (
     MARGIN_TOL,
+    TAG_EI1,
+    TAG_EI2,
+    TAG_EI3_CORRELATED,
+    TAG_EI3_PRODUCT,
+    TAG_MEASUREMENT,
     fig1_inset,
     fig1_random_mixtures,
     fig1_uniform_curve,
@@ -110,17 +116,6 @@ class TestMeasurementScan:
         assert report.trials == 50
         assert report.worst_margin >= -MARGIN_TOL  # expected: no violations
 
-    def test_certificate_reverification(self):
-        # any certificate (violating or not) must reproduce its margin
-        report = measurement_conjecture_scan(5, 3, RngStream(191))
-        cert = Certificate("measurement_monotonicity", 5, 2, 191, 0, (3,),
-                           lhs=0.0, rhs=0.0, margin=0.0)
-        margin = reverify_certificate(cert)
-        fresh = measurement_conjecture_scan(3, 3, RngStream(191))
-        del report, fresh
-        again = reverify_certificate(cert)
-        assert margin == again
-
     def test_eigen_projectors_leave_state_unchanged(self):
         from qentropy import eig_hermitian, basis_projectors, projective_update
         from qentropy.entropy import entropy_report_for_density
@@ -140,17 +135,85 @@ class TestRandomDensity:
             random_density_hs(dim, RngStream(197).generator())
 
 
+# Margins re-derived by the per-trial loop that preceded the batched trials,
+# from seed 2024, stream 3: every random kind, trials > 0, two dims each.
+# They pin the substream layout (tag * stride + trial, draw order per trial).
+RECORDED_MARGINS = [
+    ("ei1", TAG_EI1, 5, (2, 3), 1.0360676327013711),
+    ("ei1", TAG_EI1, 17, (3, 3), 1.0491248893665395),
+    ("ei2", TAG_EI2, 4, (2, 2), 0.04028910633224281),
+    ("ei2", TAG_EI2, 9, (3, 2), 0.05685322034713214),
+    ("ei3", TAG_EI3_PRODUCT, 3, (2, 3), 0.020681031387449117),
+    ("ei3", TAG_EI3_PRODUCT, 12, (3, 3), 0.06428210259523193),
+    ("ei3", TAG_EI3_CORRELATED, 11, (3, 3), 0.18222060061571244),
+    ("ei3", TAG_EI3_CORRELATED, 1, (2, 2), 0.12019804860649563),
+    ("measurement_monotonicity", TAG_MEASUREMENT, 7, (3,), 0.03878139672087633),
+    ("measurement_monotonicity", TAG_MEASUREMENT, 2, (4,), 0.06830813288021287),
+]
+
+
 class TestCertificateReverify:
-    def test_all_kinds_reproduce(self):
-        reports = inequality_suite(3, [(2, 2)], RngStream(197))
-        # build certificates by hand for non-violating trials of each kind
-        from qentropy.experiments import (
-            TAG_EI1, TAG_EI2, TAG_EI3_CORRELATED, TAG_EI3_PRODUCT)
-        kinds = [("ei1", TAG_EI1), ("ei2", TAG_EI2),
-                 ("ei3", TAG_EI3_PRODUCT), ("ei3", TAG_EI3_CORRELATED)]
-        for ineq, tag in kinds:
-            cert = Certificate(ineq, tag, 1, 197, 0, (2, 2), 0.0, 0.0, 0.0)
-            assert reverify_certificate(cert) == reverify_certificate(cert)
+    def test_every_trial_reverifies_to_worst_margin(self):
+        # a certificate for every trial of a small run, violating or not:
+        # the smallest re-derived margin of each kind is the report's
+        trials, dims, seed = 4, [(2, 2), (3, 2)], 197
+        reports = {r.inequality_id: r for r in inequality_suite(trials, dims, RngStream(seed))}
+        reports["measurement_monotonicity"] = measurement_conjecture_scan(
+            trials, 3, RngStream(seed))
+        kinds = {"ei1": [TAG_EI1], "ei2": [TAG_EI2],
+                 "ei3": [TAG_EI3_PRODUCT, TAG_EI3_CORRELATED]}
+        for ineq, tags in kinds.items():
+            margins = [reverify_certificate(Certificate(
+                ineq, tag, di * trials + t, seed, 0, d, 0.0, 0.0, 0.0))
+                for tag in tags for di, d in enumerate(dims) for t in range(trials)]
+            assert min(margins) == pytest.approx(reports[ineq].worst_margin, abs=1e-12)
+        margins = [reverify_certificate(Certificate(
+            "measurement_monotonicity", TAG_MEASUREMENT, t, seed, 0, (3,), 0.0, 0.0, 0.0))
+            for t in range(trials)]
+        assert min(margins) == pytest.approx(
+            reports["measurement_monotonicity"].worst_margin, abs=1e-12)
+        ei3a = [reverify_certificate(Certificate("ei3a", 0, 0, seed, 0, (n, m), 0.0, 0.0, 0.0))
+                for n in range(2, 9) for m in range(2, 9)]
+        assert min(ei3a) == pytest.approx(reports["ei3a"].worst_margin, abs=1e-12)
+
+    @pytest.mark.parametrize("ineq,tag,trial,dims,margin", RECORDED_MARGINS)
+    def test_recorded_margins_still_reverify(self, ineq, tag, trial, dims, margin):
+        cert = Certificate(ineq, tag, trial, 2024, 3, dims, 0.0, 0.0, 0.0)
+        assert reverify_certificate(cert) == pytest.approx(margin, abs=1e-12)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            reverify_certificate(Certificate("ei9", 9, 0, 1, 0, (2, 2), 0.0, 0.0, 0.0))
+
+
+class TestBlocks:
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        def run():
+            suite = inequality_suite(20, [(2, 2), (2, 3)], RngStream(223, 1))
+            scan = measurement_conjecture_scan(20, 3, RngStream(223, 1))
+            return suite + [scan], fig1_random_mixtures(5, 20, RngStream(223, 1))
+
+        default_reports, default_rows = run()
+        monkeypatch.setattr(experiments, "_BLOCK", 7)
+        reports, rows = run()
+        for a, b in zip(default_reports, reports):
+            assert (a.inequality_id, a.trials, a.violations) == \
+                (b.inequality_id, b.trials, b.violations)
+            assert b.worst_margin == pytest.approx(a.worst_margin, abs=1e-15)
+        for a, b in zip(default_rows, rows):
+            assert b.s_h == pytest.approx(a.s_h, abs=1e-15)
+            assert b.s_f == pytest.approx(a.s_f, abs=1e-15)
+
+    def test_empty_runs(self):
+        reports = inequality_suite(0, [(2, 2)], RngStream(227))
+        assert [(r.trials, r.worst_margin) for r in reports[:3]] == [(0, math.inf)] * 3
+        assert measurement_conjecture_scan(0, 3, RngStream(227)).trials == 0
+        assert fig1_random_mixtures(4, 0, RngStream(227)) == []
+
+    def test_blocks_shrink_for_large_states(self):
+        sizes = [len(b) for b in experiments._blocks(0, 300, 64)]
+        assert sum(sizes) == 300
+        assert max(sizes) * 64 * 64 <= experiments._BLOCK_ENTRIES
 
 
 class TestHarmonicChain:

@@ -59,6 +59,15 @@ class TestValidateDensity:
         with pytest.raises(DimensionMismatchError):
             validate_density(np.ones((2, 3)))
 
+    def test_stack_names_the_bad_matrix(self):
+        from qentropy.states import _validated_stack
+
+        good = np.eye(2, dtype=complex) / 2
+        with pytest.raises(TraceDeviationError, match="trace 1.1 "):
+            _validated_stack(np.stack([good, np.diag([0.6, 0.5]).astype(complex)]))
+        with pytest.raises(NegativeEigenvalueError):
+            _validated_stack(np.stack([good, np.diag([1.5, -0.5]).astype(complex)]))
+
     def test_symmetrizes_roundoff(self):
         m = np.eye(2) / 2
         m[0, 1] = 1e-13
@@ -151,6 +160,25 @@ class TestHaarUnitary:
         a = haar_unitary(3, RngStream(42, 1)).columns
         b = haar_unitary(3, RngStream(42, 1)).columns
         assert np.array_equal(a, b)
+
+
+class TestGinibre:
+    def test_stacks_hold_the_per_matrix_draws(self):
+        from qentropy.states import _ginibre
+
+        gens = [RngStream(43, i).generator() for i in range(3)]
+        a, b = _ginibre(gens, 2, 3)
+        for i in range(3):
+            gen = RngStream(43, i).generator()
+            for stack, n in ((a, 2), (b, 3)):
+                z = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / np.sqrt(2)
+                assert np.array_equal(stack[i], z)
+
+    def test_rejects_dimension_below_one(self):
+        from qentropy.states import _ginibre
+
+        with pytest.raises(DimensionMismatchError):
+            _ginibre([RngStream(47).generator()], 0)
 
 
 class TestRandomPureState:
@@ -246,6 +274,25 @@ class TestProjectiveUpdate:
         twice = projective_update(once, projs)
         assert once.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(twice.matrix - once.matrix)) <= 1e-12
+
+    def test_dephasing_identity_matches_projector_sum(self):
+        from qentropy.experiments import random_density_hs
+        from qentropy.states import _dephase_stack
+
+        rhos = [random_density_hs(3, RngStream(31, i).generator()) for i in range(4)]
+        bases = [haar_unitary(3, RngStream(37, i)) for i in range(4)]
+        want = [projective_update(rho, basis_projectors(basis)).matrix
+                for rho, basis in zip(rhos, bases)]
+        got = _dephase_stack(np.stack([r.matrix for r in rhos]),
+                             np.stack([b.columns for b in bases]))
+        assert np.max(np.abs(got - np.stack(want))) <= 1e-14
+
+    def test_dephasing_rejects_non_unitary_basis(self):
+        from qentropy.states import _dephase_stack
+
+        rho = np.eye(2, dtype=complex)[None] / 2
+        with pytest.raises(IncompleteProjectorSetError):
+            _dephase_stack(rho, np.diag([1.0, 0.5]).astype(complex)[None])
 
     def test_incomplete_set(self):
         rho = validate_density(np.eye(2) / 2)
