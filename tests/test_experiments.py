@@ -116,6 +116,16 @@ class TestMeasurementScan:
         assert report.trials == 50
         assert report.worst_margin >= -MARGIN_TOL  # expected: no violations
 
+    def test_certificate_reverification(self):
+        # a certificate for every trial, violating or not: the smallest
+        # re-derived margin is the scan's worst margin
+        trials, seed = 4, 197
+        report = measurement_conjecture_scan(trials, 3, RngStream(seed))
+        margins = [reverify_certificate(Certificate(
+            "measurement_monotonicity", TAG_MEASUREMENT, t, seed, 0, (3,), 0.0, 0.0, 0.0))
+            for t in range(trials)]
+        assert min(margins) == pytest.approx(report.worst_margin, abs=1e-12)
+
     def test_eigen_projectors_leave_state_unchanged(self):
         from qentropy import eig_hermitian, basis_projectors, projective_update
         from qentropy.entropy import entropy_report_for_density
@@ -153,13 +163,11 @@ RECORDED_MARGINS = [
 
 
 class TestCertificateReverify:
-    def test_every_trial_reverifies_to_worst_margin(self):
+    def test_all_kinds_reproduce(self):
         # a certificate for every trial of a small run, violating or not:
         # the smallest re-derived margin of each kind is the report's
         trials, dims, seed = 4, [(2, 2), (3, 2)], 197
         reports = {r.inequality_id: r for r in inequality_suite(trials, dims, RngStream(seed))}
-        reports["measurement_monotonicity"] = measurement_conjecture_scan(
-            trials, 3, RngStream(seed))
         kinds = {"ei1": [TAG_EI1], "ei2": [TAG_EI2],
                  "ei3": [TAG_EI3_PRODUCT, TAG_EI3_CORRELATED]}
         for ineq, tags in kinds.items():
@@ -167,11 +175,6 @@ class TestCertificateReverify:
                 ineq, tag, di * trials + t, seed, 0, d, 0.0, 0.0, 0.0))
                 for tag in tags for di, d in enumerate(dims) for t in range(trials)]
             assert min(margins) == pytest.approx(reports[ineq].worst_margin, abs=1e-12)
-        margins = [reverify_certificate(Certificate(
-            "measurement_monotonicity", TAG_MEASUREMENT, t, seed, 0, (3,), 0.0, 0.0, 0.0))
-            for t in range(trials)]
-        assert min(margins) == pytest.approx(
-            reports["measurement_monotonicity"].worst_margin, abs=1e-12)
         ei3a = [reverify_certificate(Certificate("ei3a", 0, 0, seed, 0, (n, m), 0.0, 0.0, 0.0))
                 for n in range(2, 9) for m in range(2, 9)]
         assert min(ei3a) == pytest.approx(reports["ei3a"].worst_margin, abs=1e-12)
