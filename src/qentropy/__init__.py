@@ -14,7 +14,6 @@ from .entropy import (
     excess_entropy,
     identity_residuals,
     kernel_integral,
-    perturb_spectrum,
     s0_asymptotic,
     s0_exact,
     shannon,

@@ -4,7 +4,9 @@ Every command is deterministic: the RNG seed comes from --seed, else the
 QENT_SEED environment variable, else a fixed default (0x5EED).  Machine
 entropy is only used when --nondeterministic is passed without --seed.
 Exit codes: 0 ok, 2 parse error, 3 validation error, 4 inequality
-violation certificate emitted, 5 degenerate spectrum.
+violation certificate emitted, 5 degenerate spectrum: all eigenvalues are
+equal to rounding, so the outcome weight is a point mass and has no
+density P(s).
 """
 
 import argparse
@@ -17,12 +19,7 @@ import sys
 import numpy as np
 
 from . import experiments, io
-from .entropy import (
-    absolute_entropy,
-    density_curve,
-    entropy_report_for_density,
-    perturb_spectrum,
-)
+from .entropy import absolute_entropy, density_curve, entropy_report_for_density
 from .errors import DegenerateSpectrumError, DimensionMismatchError, QentropyError
 from .montecarlo import mc_entropy_estimate
 from .rng import DEFAULT_SEED, RngStream
@@ -144,8 +141,6 @@ def _diag_density(spec: Spectrum):
 def cmd_pdensity(args) -> int:
     _require_at_least("--grid", args.grid, 1)
     spec, dim = _load_spectrum_and_dim(args)
-    if args.perturb:
-        spec = perturb_spectrum(spec, args.perturb)
     curve = density_curve(spec, dim, args.grid)
     with _out_stream(args) as out:
         out.write("s,p\n")
@@ -238,18 +233,6 @@ def cmd_random_state(args) -> int:
     return 0
 
 
-def cmd_perturb(args) -> int:
-    spec, _ = _load_spectrum_and_dim(args)
-    new = perturb_spectrum(spec, args.epsilon)
-    line = " ".join(f"{v:.17g}" for v in new.values)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line + "\n")
-    else:
-        print(line)
-    return 0
-
-
 def _add_state_args(p):
     p.add_argument("--input", help="density-matrix JSON file")
     p.add_argument("--spectrum", help="whitespace-separated spectrum file")
@@ -290,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(p)
     _add_common(p)
     p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--perturb", type=float, default=None,
-                   help="spread degenerate clusters by this epsilon first")
     p.add_argument("--output")
     p.set_defaults(func=cmd_pdensity)
 
@@ -328,13 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_random_state)
 
-    p = sub.add_parser("perturb", help="spread degenerate spectrum clusters")
-    _add_state_args(p)
-    _add_common(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_perturb)
-
     return ap
 
 
@@ -354,8 +328,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except DegenerateSpectrumError as exc:
         print(f"degenerate spectrum: {exc}\n"
-              f"hint: rerun with --perturb EPSILON or use the Monte-Carlo path (mc)",
-              file=sys.stderr)
+              f"hint: the entropy and mc commands take this spectrum", file=sys.stderr)
         return EXIT_DEGENERATE
     except QentropyError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

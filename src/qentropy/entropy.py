@@ -5,12 +5,14 @@ N-dependent minimum-uncertainty part s0 plus an excess part F that
 depends only on the nonzero eigenvalues.  F is the subentropy of the
 spectrum, evaluated as one gap-free integral with a fixed trapezoid rule;
 repeated, tiny and zero eigenvalues take the same route as any other.
-The pole-expansion density and quadrature below are the independent
-second route and the appendix reproduction.
+The outcome-weight density P(s) is a B-spline with its knots at the
+eigenvalues; integrating -s ln s against it is the independent second
+route.  Only the appendix identities keep the pole expansion.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -20,15 +22,10 @@ from .errors import (
     DimensionMismatchError,
     InvalidDistributionError,
 )
-from .states import MeasurementBasis, DensityMatrix, Spectrum, eig_hermitian, spectrum_from_values
+from .states import MeasurementBasis, DensityMatrix, Spectrum, eig_hermitian
 
 EULER_GAMMA = 0.5772156649015329
 EXCESS_BOUND = 1.0 - EULER_GAMMA
-
-# below this relative gap between distinct eigenvalues the quadrature
-# route is evaluated at 50 significant digits
-_MP_GAP_THRESHOLD = 1e-3
-_MP_DPS = 50
 
 # Trapezoid rule for the subentropy integral in v = ln t.  The integrand
 # is analytic in the strip |Im v| < pi and decays like e^{2v} and e^{-v},
@@ -41,6 +38,21 @@ _W = _T * (_V[1] - _V[0])
 _W[[0, -1]] *= 0.5
 _A = -np.log1p(1.0 / _T)  # ln t/(1+t)
 _EXP_A = np.exp(_A)
+
+# The (N, points) arrays of the B-spline recursion hold at most this many
+# entries per block of points, so memory stays flat at any N and grid size.
+_BLOCK_ENTRIES = 1 << 16
+
+# Quadrature panels.  -s ln s is smooth on a panel whose left end is at
+# least 0.2 times its right end, so a knot interval [a, b] with a < 0.2 b
+# is cut at b 0.2^k toward a, for k up to 12; the panel left below
+# b 0.2^12 (as when a = 0) holds less than 1e-16 of the integral.
+_PANEL_EDGES = np.append(0.2 ** np.arange(13), 0.0)
+
+# Eigenvalues that spread less than this many units in the last place of
+# the largest, per dimension, are equal to rounding: eigh returns a
+# rotated I/N as 1/N give or take a few N ulps.
+_POINT_MASS_ULPS = 16
 
 
 def shannon(probs) -> float:
@@ -83,14 +95,6 @@ def s0_exact(dim: int) -> float:
 def s0_asymptotic(dim: int) -> float:
     """Large-N approximation ln N - (1-gamma) + 1/(2N)."""
     return math.log(dim) - (1.0 - EULER_GAMMA) + 0.5 / dim
-
-
-def _min_relative_gap(reps: np.ndarray, dim: int) -> float:
-    if len(reps) < 2:
-        return np.inf
-    gaps = reps[:-1] - reps[1:]
-    scale = np.maximum(reps[:-1], 1.0 / dim)
-    return float(np.min(gaps / scale))
 
 
 def uniform_mixture_excess(n: int) -> float:
@@ -154,40 +158,47 @@ def entropy_report_for_density(rho: DensityMatrix) -> EntropyReport:
     return absolute_entropy(spec, rho.dim)
 
 
-def _distinct_nodes_or_raise(reps: np.ndarray, mults: np.ndarray,
-                             allow_zero_cluster: bool = True) -> np.ndarray:
-    """All eigenvalues as nodes; rejects nonzero values with multiplicity > 1.
+def _bspline(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The B-spline of degree N-2 on the N ascending knots t, at points s.
 
-    Takes the clusters of Spectrum.clustered_values.  A degenerate cluster
-    at zero is tolerated where its terms drop out of the sum anyway
-    (density, quadrature), but not where every node enters.
+    Cox-de Boor recursion with de Boor's rule 0/0 = 0, so repeated knots
+    (ties and zeros) need no special case.  Every step is a convex
+    combination, so there is no cancellation and no negative value.  Zero
+    outside [t_0, t_N-1]; right-continuous, except left-continuous at
+    t_N-1.  The knots must not all be equal.
     """
-    for v, m in zip(reps, mults):
-        if m > 1 and (v > 0.0 or not allow_zero_cluster):
-            raise DegenerateSpectrumError(
-                f"eigenvalue {v:g} has multiplicity {m}; pole expansion is singular")
-    return np.repeat(reps, mults)
+    n = len(t)
+    # inverse[i, j] = 1 / (t_j - t_i), and 0 where that gap is 0
+    gap = t - t[:, None]
+    inverse = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0.0)
+    last = np.searchsorted(t, t[-1]) - 1  # the last nonempty knot interval
+    out = np.empty(s.shape)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, len(s), step):
+        x = s[start:start + step] - t[:, None]  # s - t_i
+        above = x >= 0.0
+        b = above[:-1] > above[1:]  # degree 0: the indicators of [t_i, t_i+1)
+        b[last] |= x[-1] == 0.0  # closed at t_N-1: left-continuous there
+        for k in range(1, n - 1):
+            b = b * inverse.diagonal(k)[:, None]
+            right = x[k + 1:] * b[1:]
+            b = np.multiply(x[:-k - 1], b[:-1], out=b[:-1])
+            b -= right
+        out[start:start + step] = b[0]
+    return out
 
 
-def _gap_products(nodes: np.ndarray) -> np.ndarray:
-    """prod_{r' != r} (p_r - p_{r'}) for every node r.
-
-    The factors are multiplied in node order, one column at a time, so each
-    product is the same float as a left-to-right scalar loop.
-    """
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    prods = np.ones(len(nodes))
-    for col in diff.T:
-        prods *= col
-    return prods
+def _is_point_mass(t: np.ndarray, dim: int) -> bool:
+    """Whether the ascending eigenvalues t are all equal to rounding, so
+    that the outcome weight is 1/N in every basis (the state is I/N)."""
+    return t[-1] - t[0] <= _POINT_MASS_ULPS * dim * np.spacing(t[-1])
 
 
 def _density(spectrum: Spectrum, dim: int, s: np.ndarray) -> np.ndarray:
-    """The pole expansion of P(s) on an array of points, one pass per node.
+    """P(s) on an array of points, block by block.
 
-    Memory is O(len(s)): each nonzero eigenvalue adds its term to the whole
-    array at once, and the gap products are computed once per call.
+    P = (N-1)/(p_max - p_min) times the B-spline of degree N-2 with its
+    knots at the eigenvalues (Curry & Schoenberg 1966).
     """
     if spectrum.dim != dim:
         raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
@@ -196,39 +207,36 @@ def _density(spectrum: Spectrum, dim: int, s: np.ndarray) -> np.ndarray:
     outside = s[~((s >= 0.0) & (s <= 1.0))]
     if outside.size:
         raise InvalidDistributionError(f"s = {outside[0]:g} outside [0, 1]")
-    nodes = _distinct_nodes_or_raise(*spectrum.clustered_values())
-    top = nodes[0]
-    total = np.zeros(s.shape)
-    for p, gap in zip(nodes, _gap_products(nodes)):
-        if p == 0.0:
-            continue
-        d = p - s
-        live = d > 0.0
-        if p == top:
-            # left-continuous at the top eigenvalue so the pure-state
-            # density is flat on the whole closed interval
-            live |= d == 0.0
-        np.add(total, d ** (dim - 2) / gap, out=total, where=live)
-    total *= dim - 1
-    # below the smallest eigenvalue the terms cancel exactly in theory, but
-    # not in floats: near-uniform spectra leave residues of order 1e4
-    return np.where((total > 0.0) & (s >= nodes[-1]), total, 0.0)
+    t = np.sort(spectrum.values)
+    if _is_point_mass(t, dim):
+        raise DegenerateSpectrumError(
+            f"all eigenvalues equal {t[-1]:g} to rounding, so s = {t[-1]:g} for "
+            f"every state: P(s) is a point mass and has no density")
+    return (dim - 1) / (t[-1] - t[0]) * _bspline(t, s)
 
 
 def density_p(spectrum: Spectrum, dim: int, s: float) -> float:
     """Probability density of the outcome weight s = sum p_r |psi_r|^2.
 
-    Closed form: (N-1) * sum over p_r > s of (p_r - s)^(N-2) divided by
-    the gap product prod_{r' != r} (p_r - p_{r'}).  Requires distinct
-    nonzero eigenvalues (DegenerateSpectrumError otherwise); zero outside
-    [smallest, largest eigenvalue].  The one-point case of density_curve,
-    with the same float result at the same s.
+    The weights |psi_r|^2 of a Haar-random pure state are uniform on the
+    simplex, so P is the normalised B-spline of degree N-2 with its knots
+    at the eigenvalues: a polynomial between adjacent distinct
+    eigenvalues, zero outside [smallest, largest eigenvalue] and
+    left-continuous at the largest.  Ties and zeros are ordinary knots;
+    only I/N (eigenvalues all equal to rounding), whose P is a point
+    mass, raises DegenerateSpectrumError.
+    The one-point case of density_curve, with the same float at the same s.
     """
     return float(_density(spectrum, dim, np.array([s], dtype=float))[0])
 
 
 def kernel_integral(p: float, dim: int) -> float:
-    """Closed form of the moment integral of (p-s)^(N-2) s ln s on [0, p]."""
+    """Closed form of the moment integral of (p-s)^(N-2) s ln s on [0, p].
+
+    The paper's pole expansion of the absolute entropy sums this kernel
+    over the eigenvalues, weighted by their inverse gap products; it is
+    exported as the closed form of that derivation.
+    """
     if not 0.0 < p <= 1.0:
         raise InvalidDistributionError(f"p = {p:g} outside (0, 1]")
     if dim < 2:
@@ -236,45 +244,47 @@ def kernel_integral(p: float, dim: int) -> float:
     return p**dim / (dim * (dim - 1)) * (math.log(p) - s0_exact(dim))
 
 
-def entropy_by_quadrature(spectrum: Spectrum, dim: int) -> float:
-    """Absolute entropy via exact piecewise integration of N f(s) P(s).
+@lru_cache(maxsize=32)
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes and weights on [0, 1]."""
+    # imported here, so that only the quadrature pays for loading it
+    from numpy.polynomial.legendre import leggauss
 
-    Independent route from the subentropy integral: each eigenvalue
-    contributes its gap-product weight times the analytic kernel integral.
-    Falls back to extended precision when the pole expansion is badly
-    conditioned.
+    x, w = leggauss(m)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def entropy_by_quadrature(spectrum: Spectrum, dim: int) -> float:
+    """Absolute entropy as N times the integral of -s ln s P(s) over [0, 1].
+
+    Independent route from the subentropy integral.  P is a polynomial of
+    degree N-2 between adjacent distinct eigenvalues, so each such
+    interval takes a Gauss-Legendre rule of N//2 + 14 points, on
+    geometric panels toward its left end where that end is below 0.2
+    times its right end, which resolves the logarithm at s = 0.  I/N
+    (eigenvalues all equal to rounding), whose P is a point mass at 1/N,
+    gives ln N.
     """
     if spectrum.dim != dim:
         raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
     if dim == 1:
         return 0.0
-    reps, mults = spectrum.clustered_values()
-    nodes = _distinct_nodes_or_raise(reps, mults)
-    if _min_relative_gap(reps, dim) < _MP_GAP_THRESHOLD:
-        return _quadrature_mp(nodes, dim)
-    terms = [-dim * (dim - 1) * kernel_integral(p, dim) / gap
-             for p, gap in zip(nodes, _gap_products(nodes)) if p != 0.0]
-    total = math.fsum(terms)
-    if math.fsum(abs(t) for t in terms) > 1e4:
-        return _quadrature_mp(nodes, dim)
-    return total
-
-
-def _quadrature_mp(nodes: np.ndarray, dim: int) -> float:
-    with mpmath.workdps(_MP_DPS):
-        zs = [mpmath.mpf(repr(float(z))) for z in nodes]
-        s0 = mpmath.fsum(mpmath.mpf(1) / k for k in range(2, dim + 1))
-        total = mpmath.mpf(0)
-        for r, p in enumerate(zs):
-            if p == 0:
-                continue
-            prod = mpmath.mpf(1)
-            for rp, q in enumerate(zs):
-                if rp != r:
-                    prod *= p - q
-            kern = p**dim / (dim * (dim - 1)) * (mpmath.log(p) - s0)
-            total += -dim * (dim - 1) * kern / prod
-        return float(total)
+    t = np.sort(spectrum.values)
+    if _is_point_mass(t, dim):
+        return math.log(dim)
+    # a tie is an interval of width 0, which gets no panel
+    edges = np.maximum(t[1:, None] * _PANEL_EDGES, t[:-1, None])
+    lo, width = edges[:, 1:], edges[:, :-1] - edges[:, 1:]
+    live = width > 0.0
+    nodes, weights = _gauss_legendre(dim // 2 + 14)
+    width = width[live][:, None]
+    # nodes as offsets from t_0, which are exact for knots close to t_0, so
+    # a narrow spectrum does not round its nodes onto its knots
+    offset = ((lo[live][:, None] - t[0]) + width * nodes).ravel()
+    mass = (width * weights).ravel() * _bspline(t - t[0], offset)
+    s = t[0] + offset
+    # normalised by the rule's own mass of B, (p_max - p_min)/(N-1) exactly
+    return float(-dim * (mass @ (s * np.log(s))) / mass.sum())
 
 
 def identity_residuals(spectrum: Spectrum, dim: int, s: float = 0.5):
@@ -282,11 +292,17 @@ def identity_residuals(spectrum: Spectrum, dim: int, s: float = 0.5):
 
     Returns (|sum_r p_r^N / gap product - 1|, [moment residuals for
     n = 0..N-2 at the probe point s]).  Evaluated at 40 digits so the
-    result reflects the identities, not float cancellation.
+    result reflects the identities, not float cancellation.  The gap
+    products need distinct eigenvalues: a tie, zeros included, raises
+    DegenerateSpectrumError.
     """
     if spectrum.dim != dim:
         raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
-    nodes = _distinct_nodes_or_raise(*spectrum.clustered_values(), allow_zero_cluster=False)
+    nodes = np.sort(spectrum.values)
+    ties = nodes[1:][nodes[1:] == nodes[:-1]]
+    if ties.size:
+        raise DegenerateSpectrumError(
+            f"eigenvalue {ties[0]:g} is repeated; the identities need distinct eigenvalues")
     with mpmath.workdps(40):
         zs = [mpmath.mpf(repr(float(z))) for z in nodes]
         sp = mpmath.mpf(repr(float(s)))
@@ -305,31 +321,6 @@ def identity_residuals(spectrum: Spectrum, dim: int, s: float = 0.5):
         return float(eid1), [float(m) for m in moments]
 
 
-def perturb_spectrum(spectrum: Spectrum, epsilon: float) -> Spectrum:
-    """Spread each degenerate cluster symmetrically by multiples of epsilon.
-
-    Preserves the total probability; a cluster at zero is shifted upward
-    and compensated on the largest eigenvalue.  The induced entropy error
-    is O(epsilon ln epsilon) -- callers opt in explicitly.
-    """
-    if epsilon <= 0:
-        raise InvalidDistributionError("epsilon must be positive")
-    reps, mults = spectrum.clustered_values()
-    out = []
-    debt = 0.0
-    for v, m in zip(reps, mults):
-        if m == 1:
-            out.append(float(v))
-        elif v > 0.0:
-            out.extend(float(v) + epsilon * (i - (m - 1) / 2.0) for i in range(m))
-        else:
-            out.extend(epsilon * i for i in range(m))
-            debt += epsilon * m * (m - 1) / 2.0
-    out.sort(reverse=True)
-    out[0] -= debt
-    return spectrum_from_values(out, spectrum.cluster_tolerance)
-
-
 @dataclass(frozen=True)
 class DensityCurve:
     """The outcome-weight density P(s) on a grid."""
@@ -342,8 +333,8 @@ class DensityCurve:
 def density_curve(spectrum: Spectrum, dim: int, points: int) -> DensityCurve:
     """Evaluate the outcome-weight density on a uniform grid over [0, 1].
 
-    One vectorised pass per nonzero eigenvalue over the whole grid; the
-    values, checks and errors are those of density_p at each grid point.
+    The values, checks and errors are those of density_p at each grid
+    point; the grid is evaluated in blocks, so memory stays flat.
     """
     grid = np.linspace(0.0, 1.0, points)
     return DensityCurve(spectrum, grid, _density(spectrum, dim, grid))

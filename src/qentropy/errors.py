@@ -38,10 +38,11 @@ class InvalidDistributionError(QentropyError):
 
 
 class DegenerateSpectrumError(QentropyError):
-    """A nonzero eigenvalue has multiplicity > 1; the pole expansion of the
-    outcome-weight density is singular.  Use excess_entropy (the subentropy
-    integral needs no distinct eigenvalues), the Monte-Carlo path, or
-    perturb_spectrum."""
+    """All eigenvalues are equal to rounding (the state is I/N), so the
+    outcome weight is 1/N in every basis: its distribution is a point mass
+    and has no density P(s).  The entropy itself is defined (ln N).  The
+    appendix identities, which need distinct eigenvalues, raise it for any
+    tie."""
 
 
 class InsufficientSamplesError(QentropyError):

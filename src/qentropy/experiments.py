@@ -20,6 +20,7 @@ from .entropy import (
     s0_exact,
     uniform_mixture_excess,
 )
+from .errors import DimensionMismatchError
 from .rng import RngStream
 from .states import (
     DensityMatrix,
@@ -147,6 +148,8 @@ def uniform_curve_interpolation(s_h: float, max_n: int = 64) -> float:
 
 def fig1_random_mixtures(dim: int, count: int, rng: RngStream) -> list[Fig1Row]:
     """Scatter of randomly mixed states (flat Dirichlet spectra)."""
+    if dim < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
     rows = []
     for block in _blocks(0, count, dim):
         draws = np.array([_trial_gen(rng, TAG_FIG1_MIXTURES, t).dirichlet(np.ones(dim))

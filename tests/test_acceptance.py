@@ -41,14 +41,6 @@ def report(n, ok, detail, elapsed, budget):
     assert elapsed < budget, f"criterion {n} exceeded runtime budget"
 
 
-def distinct_spectrum(dim, gen):
-    while True:
-        spec = spectrum_from_values(gen.dirichlet(np.ones(dim)))
-        reps, mults = spec.clustered_values()
-        if np.all(mults[reps > 0] == 1):
-            return spec
-
-
 def separated_spectrum(dim, gen):
     raw = np.arange(1, dim + 1) + 0.4 * gen.random(dim)
     return spectrum_from_values(np.sort(raw)[::-1] / raw.sum())
@@ -98,13 +90,16 @@ def test_criterion_4_path_equivalence():
     t0 = time.perf_counter()
     gen = RngStream(307).generator()
     worst = 0.0
-    for _ in range(100):
-        dim = int(gen.integers(2, 9))
-        spec = distinct_spectrum(dim, gen)
+    for trial in range(100):
+        values = gen.dirichlet(np.ones(int(gen.integers(2, 9))))
+        if trial % 4 == 3:  # every fourth spectrum gets a tie and a zero
+            values = np.append(values, [values[0], 0.0])
+        spec = spectrum_from_values(values / values.sum())
+        dim = spec.dim
         diff = abs(entropy_by_quadrature(spec, dim) - absolute_entropy(spec, dim).s_total)
         worst = max(worst, diff)
-    report(4, worst <= 1e-8, f"closed form vs quadrature on 100 spectra, worst = {worst:.2e}",
-           time.perf_counter() - t0, 10)
+    report(4, worst <= 1e-12, f"closed form vs quadrature on 100 spectra (25 with a tie and "
+                              f"a zero), worst = {worst:.2e}", time.perf_counter() - t0, 10)
 
 
 def test_criterion_5_appendix_identities():

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from qentropy import (
+    RngStream,
+    eig_hermitian,
+    haar_unitary,
+    mc_density_histogram,
+    spectrum_from_values,
+)
 from qentropy.cli import main
+from qentropy.io import load_density
 
 
 def run(capsys, *argv):
@@ -165,10 +173,52 @@ class TestPdensityCommand:
         assert all(line.endswith(",1") for line in lines[1:])
 
     def test_degenerate_exit_5(self, capsys, spectrum_file):
-        code, _, err = run(capsys, "pdensity", "--spectrum",
-                           spectrum_file("0.4 0.4 0.2"), "--grid", "11")
+        # I/N: s = 1/N for every state, a point mass with no density
+        code, out, err = run(capsys, "pdensity", "--spectrum",
+                             spectrum_file("0.25 0.25 0.25 0.25"), "--grid", "11")
         assert code == 5
-        assert "--perturb" in err
+        assert out == ""
+        assert "degenerate spectrum" in err
+        assert "--perturb" not in err
+
+    def test_rotated_uniform_matrix_exit_5(self, capsys, matrix_file):
+        # eigh returns I/4 in a random basis as 1/4 give or take a few ulps,
+        # still a point mass to rounding
+        u = haar_unitary(4, RngStream(5)).columns
+        path = matrix_file(u @ u.conj().T / 4)
+        spec, _ = eig_hermitian(load_density(path))
+        assert spec.values[0] > spec.values[-1]
+        code, out, err = run(capsys, "pdensity", "--input", path, "--grid", "11")
+        assert code == 5
+        assert out == ""
+        assert "point mass" in err
+
+    def test_tied_density_matches_monte_carlo(self, capsys, spectrum_file):
+        code, out, _ = run(capsys, "pdensity", "--spectrum", spectrum_file("0.4 0.4 0.2"),
+                           "--grid", "1001")
+        assert code == 0
+        table = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        s, p = table[:, 0], table[:, 1]
+        hist = mc_density_histogram(spectrum_from_values([0.4, 0.4, 0.2]), 3, 200_000, 20,
+                                    RngStream(173))
+        widths = np.diff(hist.edges)
+        se = np.sqrt(hist.counts.clip(min=1)) / (hist.samples * widths)
+        for lo, hi, d, e in zip(hist.edges[:-1], hist.edges[1:], hist.densities, se):
+            # P is linear on each bin (the knots 0.2 and 0.4 are bin edges),
+            # so its mean over the grid points inside a bin is the bin average
+            inside = (s > lo + 1e-9) & (s < hi - 1e-9)
+            assert abs(d - p[inside].mean()) <= 5 * e
+
+    def test_n64_has_no_cancellation(self, capsys, spectrum_file):
+        values = np.random.default_rng(2).dirichlet(np.ones(64))
+        code, out, _ = run(capsys, "pdensity", "--spectrum",
+                           spectrum_file(" ".join(repr(float(v)) for v in values)),
+                           "--grid", "1001")
+        assert code == 0
+        rows = dict(line.split(",") for line in out.splitlines()[1:])
+        # the pole expansion printed 9.26e7 here; the largest P is ~242
+        assert float(rows["0.002"]) < 1e-50
+        assert max(float(p) for p in rows.values()) < 300
 
     @pytest.mark.parametrize("grid", ["0", "-5"])
     def test_grid_below_one_exit_2(self, capsys, spectrum_file, grid):
@@ -178,12 +228,12 @@ class TestPdensityCommand:
         assert out == ""
         assert "--grid" in err
 
-    def test_perturb_flag(self, capsys, spectrum_file):
-        code, out, _ = run(capsys, "pdensity", "--spectrum",
-                           spectrum_file("0.4 0.4 0.2"), "--grid", "11",
-                           "--perturb", "1e-6")
-        assert code == 0
-        assert out.startswith("s,p\n")
+    @pytest.mark.parametrize("argv", [["pdensity", "--grid", "11", "--perturb", "1e-6"],
+                                      ["perturb", "--epsilon", "1e-6"]])
+    def test_perturb_is_gone(self, capsys, spectrum_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--spectrum", spectrum_file("0.4 0.4 0.2")])
+        assert exc.value.code == 2
 
 
 class TestExperimentCommands:
@@ -257,6 +307,13 @@ class TestExperimentCommands:
         assert out == ""
         assert f"{flag} must be at least 0, got -1" in err
 
+    @pytest.mark.parametrize("dim", ["-1", "0"])
+    def test_fig1_dim_below_one_exit_3(self, capsys, dim):
+        code, out, err = run(capsys, "fig1", f"--dim={dim}", "--count", "2")
+        assert code == 3
+        assert out == ""
+        assert f"validation error: dimension must be >= 1, got {dim}" in err
+
     def test_check_zero_trials(self, capsys):
         code, out, _ = run(capsys, "check", "ei1", "--trials", "0")
         assert code == 0
@@ -305,13 +362,3 @@ class TestRandomStateRoundTrip:
         _, out1, _ = run(capsys, "random-state", "--dim", "3", "--seed", "13")
         _, out2, _ = run(capsys, "random-state", "--dim", "3", "--seed", "13")
         assert out1 == out2
-
-
-class TestPerturbCommand:
-    def test_spreads_and_preserves_sum(self, capsys, spectrum_file):
-        code, out, _ = run(capsys, "perturb", "--spectrum",
-                           spectrum_file("0.4 0.4 0.2"), "--epsilon", "1e-6")
-        assert code == 0
-        values = [float(t) for t in out.split()]
-        assert len(set(values)) == 3
-        assert sum(values) == pytest.approx(1.0, abs=1e-12)

@@ -18,12 +18,12 @@ from qentropy import (
     conditional_entropy,
     density_curve,
     density_p,
+    eig_hermitian,
     entropy_by_quadrature,
     excess_entropy,
     haar_unitary,
     identity_residuals,
     kernel_integral,
-    perturb_spectrum,
     s0_asymptotic,
     s0_exact,
     shannon,
@@ -39,10 +39,12 @@ def trapezoid(y, x):
 
 
 def pole_expansion_mp(values, dim, grid):
-    """The pole expansion of P(s) at 40 digits, with density_p's rules:
+    """The pole expansion of P(s) at 150 digits, with density_p's rules:
     the top node counts at s = p_max, P = 0 below the smallest eigenvalue,
-    negative values clamp to 0."""
-    with mpmath.workdps(40):
+    negative values clamp to 0.  It needs distinct nonzero eigenvalues;
+    its cancellation, up to ~1e26 x max P at N = 64, stays far below 150
+    digits."""
+    with mpmath.workdps(150):
         zs = [mpmath.mpf(float(z)) for z in values]
         gaps = [mpmath.fprod(p - q for rq, q in enumerate(zs) if rq != r)
                 for r, p in enumerate(zs)]
@@ -54,6 +56,15 @@ def pole_expansion_mp(values, dim, grid):
                 if p != 0 and (p > sp or p == sp == zs[0]))
             out.append(float(total) if sp >= zs[-1] and total > 0 else 0.0)
         return np.array(out)
+
+
+def rotated_identity_spectrum(n, seed):
+    """The eigh spectrum of I/n in a Haar-random basis: 1/n give or take a
+    few ulps, but not all equal."""
+    u = haar_unitary(n, RngStream(seed)).columns
+    spec, _ = eig_hermitian(validate_density(u @ u.conj().T / n))
+    assert spec.values[0] > spec.values[-1]
+    return spec
 
 
 def well_separated_spectrum(dim, gen, min_gap=0.02):
@@ -327,8 +338,22 @@ class TestDensityP:
             assert density_p(spec, 12, float(s)) == 0.0
 
     def test_rejects_degenerate(self):
+        # only I/N, a point mass, has no density; a tie is an ordinary knot:
+        # s = 0.5 (w_1 + w_2) with w_1 + w_2 ~ Beta(2, 2)
         with pytest.raises(DegenerateSpectrumError):
-            density_p(spectrum_from_values([0.4, 0.4, 0.2]), 3, 0.1)
+            density_p(spectrum_from_values([0.25] * 4), 4, 0.25)
+        spec = spectrum_from_values([0.5, 0.5, 0.0, 0.0])
+        for s in np.linspace(0.0, 0.5, 51).tolist():
+            assert density_p(spec, 4, s) == pytest.approx(24 * s * (1 - 2 * s), abs=1e-13)
+        assert density_p(spec, 4, 0.51) == 0.0
+
+    def test_point_mass_to_rounding(self):
+        # a rotated I/N is still a point mass; a spread well above rounding
+        # is an ordinary narrow density, here uniform of height 1/spread
+        with pytest.raises(DegenerateSpectrumError):
+            density_p(rotated_identity_spectrum(4, 5), 4, 0.25)
+        narrow = spectrum_from_values([0.5 + 5e-13, 0.5 - 5e-13])
+        assert density_p(narrow, 2, 0.5) == pytest.approx(1e12, rel=1e-3)
 
     def test_normalized(self):
         spec = spectrum_from_values([0.5, 0.3, 0.2])
@@ -349,13 +374,13 @@ class TestDensityCurve:
     @pytest.mark.parametrize("pad", [0, 2])
     def test_matches_mp_pole_expansion(self, pad):
         gen = RngStream(71, pad).generator()
-        for n in range(2, 9):
+        for n in [*range(2, 9), 16, 24, 32, 48, 64]:
             for _ in range(2):
                 v = np.concatenate([gen.dirichlet(np.ones(n)), np.zeros(pad)])
                 spec = spectrum_from_values(v)
                 curve = density_curve(spec, n + pad, 201)
                 ref = pole_expansion_mp(spec.values, n + pad, curve.grid)
-                assert np.max(np.abs(curve.densities - ref)) <= 1e-10 * ref.max()
+                assert np.max(np.abs(curve.densities - ref)) <= 1e-12 * ref.max()
 
     @pytest.mark.parametrize("values", [[1.0, 0.0], [0.7, 0.3], [0.5, 0.3, 0.2],
                                         [0.45, 0.3, 0.25, 0.0, 0.0],
@@ -372,8 +397,15 @@ class TestDensityCurve:
         assert curve.densities.tolist() == [0.0, 2.0, 2.0, 2.0, 0.0]
 
     def test_rejects_degenerate(self):
+        # only I/N, a point mass, has no density; a tie is an ordinary knot:
+        # s = 0.4 w_1 + 0.4 w_2 + 0.2 w_3 = 0.2 + 0.2 u with u ~ Beta(2, 1)
         with pytest.raises(DegenerateSpectrumError):
-            density_curve(spectrum_from_values([0.4, 0.4, 0.2]), 3, 11)
+            density_curve(spectrum_from_values([0.25] * 4), 4, 11)
+        curve = density_curve(spectrum_from_values([0.4, 0.4, 0.2]), 3, 101)
+        inside = (curve.grid >= 0.2) & (curve.grid <= 0.4)
+        assert np.max(np.abs(curve.densities[inside] - 50 * (curve.grid[inside] - 0.2))) \
+            <= 1e-12
+        assert np.all(curve.densities[~inside] == 0.0)
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -401,8 +433,9 @@ class TestKernelIntegral:
 
 class TestQuadraturePath:
     def test_pure_dim_two(self):
-        assert entropy_by_quadrature(spectrum_from_values([1.0, 0.0]), 2) == \
-            pytest.approx(0.5, abs=1e-12)
+        value = entropy_by_quadrature(spectrum_from_values([1.0, 0.0]), 2)
+        assert value == pytest.approx(0.5, abs=1e-12)
+        assert type(value) is float  # not np.float64, whose repr is not a plain number
 
     def test_matches_closed_form_two_state(self):
         spec = spectrum_from_values([0.7, 0.3])
@@ -412,22 +445,78 @@ class TestQuadraturePath:
     def test_matches_closed_form_three_state(self):
         spec = spectrum_from_values([0.5, 0.3, 0.2])
         assert entropy_by_quadrature(spec, 3) == \
-            pytest.approx(absolute_entropy(spec, 3).s_total, abs=1e-8)
+            pytest.approx(absolute_entropy(spec, 3).s_total, abs=1e-12)
 
     def test_path_equivalence_random(self):
         gen = RngStream(43).generator()
         for _ in range(50):
             dim = int(gen.integers(2, 9))
             spec = spectrum_from_values(gen.dirichlet(np.ones(dim)))
-            reps, mults = spec.clustered_values()
-            if np.any(mults[reps > 0] > 1):
-                continue
             assert entropy_by_quadrature(spec, dim) == \
-                pytest.approx(absolute_entropy(spec, dim).s_total, abs=1e-8)
+                pytest.approx(absolute_entropy(spec, dim).s_total, abs=1e-12)
 
     def test_rejects_degenerate(self):
-        with pytest.raises(DegenerateSpectrumError):
-            entropy_by_quadrature(spectrum_from_values([0.4, 0.4, 0.2]), 3)
+        # nothing is rejected any more: ties and zeros are ordinary knots,
+        # and I/N, whose P is a point mass at 1/N, gives ln N exactly
+        for values in ([0.4, 0.4, 0.2], [0.5, 0.5, 0.0, 0.0], [0.3, 0.3, 0.2, 0.2]):
+            spec = spectrum_from_values(values)
+            assert abs(entropy_by_quadrature(spec, len(values))
+                       - absolute_entropy(spec, len(values)).s_total) <= 1e-12
+        assert entropy_by_quadrature(spectrum_from_values([0.25] * 4), 4) == math.log(4)
+
+
+class TestQuadratureAccuracy:
+    """|entropy_by_quadrature - s_total| <= 1e-12 for N <= 64, s_total
+    being s0 + the subentropy integral (itself held to 1e-13)."""
+
+    TOL = 1e-12
+
+    def assert_matches(self, values):
+        spec = spectrum_from_values(values / math.fsum(sorted(values)))
+        dim = len(values)
+        assert abs(entropy_by_quadrature(spec, dim) - absolute_entropy(spec, dim).s_total) \
+            <= self.TOL
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 24, 32, 48, 64])
+    def test_dirichlet_with_zeros_and_ties(self, alpha, n):
+        gen = RngStream(79, n).generator()
+        for zeros in (0, 2):
+            v = gen.dirichlet(np.full(n, alpha))
+            self.assert_matches(np.concatenate([v, np.zeros(zeros)]))
+            tied = v.copy()
+            tied[: (n + 1) // 2] = tied[0]
+            self.assert_matches(np.concatenate([tied, np.zeros(zeros)]))
+
+    @pytest.mark.parametrize("n", [2, 6, 24, 64])
+    def test_tiny_eigenvalues(self, n):
+        gen = RngStream(83, n).generator()
+        for _ in range(3):
+            tiny = 10.0 ** gen.uniform(-14, -6, 3)
+            self.assert_matches(np.concatenate([gen.dirichlet(np.ones(n)), tiny]))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 16, 64])
+    def test_uniform_and_pure(self, n):
+        assert entropy_by_quadrature(spectrum_from_values(np.full(n, 1.0 / n)), n) \
+            == math.log(n)
+        self.assert_matches(np.concatenate([np.full(n // 2 + 1, 1.0), np.zeros(n)]))
+        self.assert_matches(np.concatenate([[1.0], np.zeros(n - 1)]))
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_near_uniform(self, n):
+        # Gauss nodes on a narrow spectrum must not round onto its knots
+        for spread in (1e-14, 1e-12, 1e-10, 1e-6):
+            self.assert_matches(1.0 / n + spread / n * np.linspace(-0.5, 0.5, n))
+
+    def test_one_ulp_above_uniform(self):
+        a = 1.0 / 3.0
+        self.assert_matches(np.array([a, a, np.nextafter(a, 1.0)]))
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_rotated_uniform(self, n):
+        spec = rotated_identity_spectrum(n, 5)
+        assert abs(entropy_by_quadrature(spec, n) - absolute_entropy(spec, n).s_total) \
+            <= self.TOL
 
 
 class TestIdentityResiduals:
@@ -449,23 +538,3 @@ class TestIdentityResiduals:
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSpectrumError):
             identity_residuals(spectrum_from_values([0.5, 0.25, 0.25]), 3)
-
-
-class TestPerturbSpectrum:
-    def test_spreads_cluster(self):
-        spec = perturb_spectrum(spectrum_from_values([0.4, 0.4, 0.2]), 1e-6)
-        reps, mults = spec.clustered_values()
-        assert np.all(mults == 1)
-        assert spec.values.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_cluster(self):
-        spec = perturb_spectrum(spectrum_from_values([0.6, 0.4, 0.0, 0.0]), 1e-6)
-        reps, mults = spec.clustered_values()
-        assert np.all(mults == 1)
-        assert spec.values.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_small_entropy_error(self):
-        base = spectrum_from_values([0.4, 0.4, 0.2])
-        pert = perturb_spectrum(base, 1e-8)
-        assert entropy_by_quadrature(pert, 3) == \
-            pytest.approx(absolute_entropy(base, 3).s_total, abs=1e-5)
