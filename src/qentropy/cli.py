@@ -1,6 +1,10 @@
 """Command-line front end.
 
-Every command is deterministic: the RNG seed comes from --seed, else the
+Each command takes only the options it reads.  --bits and --precision
+set the units and digits of entropy and mc, --format is entropy's and
+--workers is mc's; pdensity, fig1, inset, check and random-state write
+to --output, else stdout.  The random commands (mc, fig1, check,
+random-state) are deterministic: the RNG seed comes from --seed, else the
 QENT_SEED environment variable, else a fixed default (0x5EED).  Machine
 entropy is only used when --nondeterministic is passed without --seed.
 Exit codes: 0 ok, 2 parse error, 3 validation error, 4 inequality
@@ -19,11 +23,11 @@ import sys
 import numpy as np
 
 from . import experiments, io
-from .entropy import absolute_entropy, density_curve, entropy_report_for_density
+from .entropy import absolute_entropy, density_curve
 from .errors import DegenerateSpectrumError, DimensionMismatchError, QentropyError
 from .montecarlo import mc_entropy_estimate
 from .rng import DEFAULT_SEED, RngStream
-from .states import Spectrum, eig_hermitian, spectrum_from_values
+from .states import Spectrum, eig_hermitian, spectrum_from_values, validate_density
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -51,7 +55,7 @@ def _resolve_seed(args) -> int:
             return int(env, 0)
         except ValueError as exc:
             raise _CliError(f"QENT_SEED is not an integer: {env!r}", EXIT_PARSE) from exc
-    if getattr(args, "nondeterministic", False):
+    if args.nondeterministic:
         return secrets.randbits(63)
     return DEFAULT_SEED
 
@@ -60,13 +64,15 @@ def _load_spectrum_and_dim(args) -> tuple[Spectrum, int]:
     """Input state as a spectrum: from a matrix file or a spectrum file."""
     if args.input and args.spectrum:
         raise _CliError("give either --input or --spectrum, not both", EXIT_PARSE)
+    if args.input and args.dim is not None:
+        raise _CliError("--dim pads a --spectrum only", EXIT_PARSE)
     if args.input:
         rho = io.load_density(args.input)
         spec, _ = eig_hermitian(rho)
         return spec, rho.dim
     if args.spectrum:
         spec = io.load_spectrum(args.spectrum)
-        dim = getattr(args, "dim", None) or spec.dim
+        dim = args.dim or spec.dim
         if dim < spec.dim:
             raise _CliError(f"--dim {dim} smaller than spectrum length {spec.dim}",
                             EXIT_VALIDATION)
@@ -83,13 +89,13 @@ def _require_at_least(flag: str, value: int, low: int):
 
 
 def _fmt(args, value: float) -> str:
-    if getattr(args, "bits", False):
+    if args.bits:
         value = value / math.log(2)
     return f"{value:.{args.precision}g}"
 
 
 def _out_stream(args):
-    if getattr(args, "output", None):
+    if args.output:
         return open(args.output, "w", encoding="utf-8", newline="\n")
     return contextlib.nullcontext(sys.stdout)
 
@@ -112,6 +118,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    _require_at_least("--workers", args.workers, 1)
     spec, dim = _load_spectrum_and_dim(args)
     seed = _resolve_seed(args)
     rho = _diag_density(spec)
@@ -133,8 +140,6 @@ def cmd_mc(args) -> int:
 
 
 def _diag_density(spec: Spectrum):
-    from .states import validate_density
-
     return validate_density(np.diag(spec.values.astype(complex)))
 
 
@@ -224,12 +229,8 @@ def cmd_random_state(args) -> int:
     seed = _resolve_seed(args)
     gen = RngStream(seed).generator()
     rho = experiments.random_density_hs(args.dim, gen)
-    text = io.density_to_text(rho)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _out_stream(args) as out:
+        out.write(io.density_to_text(rho))
     return 0
 
 
@@ -240,15 +241,20 @@ def _add_state_args(p):
                    help="pad a spectrum with zeros up to this dimension")
 
 
-def _add_common(p):
+def _add_seed_args(p):
     p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
     p.add_argument("--nondeterministic", action="store_true",
                    help="allow machine entropy when --seed is absent")
+
+
+def _add_unit_args(p):
     p.add_argument("--precision", type=int, default=12,
                    help="significant digits in printed values")
     p.add_argument("--bits", action="store_true", help="report entropies in bits")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--workers", type=int, default=1)
+
+
+def _add_output_arg(p):
+    p.add_argument("--output", help="write to this file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,39 +265,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="closed-form entropy report")
     _add_state_args(p)
-    _add_common(p)
+    _add_unit_args(p)
+    p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("mc", help="Monte-Carlo estimate of the absolute entropy")
     _add_state_args(p)
-    _add_common(p)
+    _add_seed_args(p)
+    _add_unit_args(p)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--mode", choices=("sphere", "basis"), default="sphere")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("pdensity", help="outcome-weight density P(s) as CSV")
     _add_state_args(p)
-    _add_common(p)
     p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--output")
+    _add_output_arg(p)
     p.set_defaults(func=cmd_pdensity)
 
     p = sub.add_parser("fig1", help="uniform curve and random-mixture scatter")
-    _add_common(p)
+    _add_seed_args(p)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--count", type=int, default=500)
     p.add_argument("--max-n", type=int, default=64)
-    p.add_argument("--output")
+    _add_output_arg(p)
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("inset", help="minimum uncertainty entropy vs dimension")
-    _add_common(p)
     p.add_argument("--max-dim", type=int, default=50)
-    p.add_argument("--output")
+    _add_output_arg(p)
     p.set_defaults(func=cmd_inset)
 
     p = sub.add_parser("check", help="inequality suites and conjecture scans")
-    _add_common(p)
+    _add_seed_args(p)
     p.add_argument("ids", nargs="*",
                    help="subset of {ei1, ei2, ei3, ei3a, measurement_monotonicity} "
                         "(default: all)")
@@ -300,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated NxM subsystem dimensions")
     p.add_argument("--dim", type=int, default=3,
                    help="dimension for the measurement scan")
-    p.add_argument("--output")
+    _add_output_arg(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("random-state", help="sample a Hilbert-Schmidt random state")
-    _add_common(p)
+    _add_seed_args(p)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--output")
+    _add_output_arg(p)
     p.set_defaults(func=cmd_random_state)
 
     return ap

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamplesError
+from .errors import DimensionMismatchError, InsufficientSamplesError
 from .rng import RngStream
 from .states import DensityMatrix, Spectrum, _haar_from_normals, eig_hermitian
 
@@ -45,11 +45,17 @@ def _f(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunk_sizes(samples: int) -> list[int]:
-    sizes = [CHUNK_SAMPLES] * (samples // CHUNK_SAMPLES)
-    if samples % CHUNK_SAMPLES:
-        sizes.append(samples % CHUNK_SAMPLES)
-    return sizes
+def _run_chunks(samples: int, rng: RngStream, workers: int, fn) -> list:
+    """fn(count, rng.child(i)) for each chunk i of `samples`, in chunk order."""
+    sizes = [min(CHUNK_SAMPLES, samples - start) for start in range(0, samples, CHUNK_SAMPLES)]
+
+    def run(index):
+        return fn(sizes[index], rng.child(index))
+
+    if workers > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, range(len(sizes))))
+    return [run(i) for i in range(len(sizes))]
 
 
 def _sphere_weights(p: np.ndarray, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -97,19 +103,12 @@ def mc_entropy_estimate(rho: DensityMatrix, samples: int, rng: RngStream,
     spec, _ = eig_hermitian(rho)
     p = spec.values
 
-    def run(args):
-        index, count = args
-        vals = _chunk_values(p, count, rng.child(index), mode)
+    def chunk_stats(count, gen):
+        vals = _chunk_values(p, count, gen, mode)
         mean = vals.mean()
         return count, float(mean), float(np.sum((vals - mean) ** 2))
 
-    jobs = list(enumerate(_chunk_sizes(samples)))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(run, jobs))
-    else:
-        stats = [run(j) for j in jobs]
-    n, mean, m2 = _pool(stats)
+    n, mean, m2 = _pool(_run_chunks(samples, rng, workers, chunk_stats))
     std = math.sqrt(m2 / (n - 1))
     return McEstimate(mean=mean, stderr=std / math.sqrt(n), samples=n, seed=rng.seed)
 
@@ -122,23 +121,14 @@ def mc_density_histogram(spectrum: Spectrum, dim: int, samples: int, bins: int,
     if bins < 10:
         raise InsufficientSamplesError(f"need >= 10 bins, got {bins}")
     if spectrum.dim != dim:
-        raise InsufficientSamplesError(f"spectrum has {spectrum.dim} entries, expected {dim}")
+        raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
     p = spectrum.values
     edges = np.linspace(0.0, 1.0, bins + 1)
 
-    def run(args):
-        index, count = args
-        s = _sphere_weights(p, count, rng.child(index))
-        counts, _ = np.histogram(s, bins=edges)
-        return counts
+    def chunk_counts(count, gen):
+        return np.histogram(_sphere_weights(p, count, gen), bins=edges)[0]
 
-    jobs = list(enumerate(_chunk_sizes(samples)))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(run, jobs))
-    else:
-        per_chunk = [run(j) for j in jobs]
-    counts = np.sum(per_chunk, axis=0)
+    counts = np.sum(_run_chunks(samples, rng, workers, chunk_counts), axis=0)
     widths = np.diff(edges)
     densities = counts / (samples * widths)
     return Histogram(edges=edges, counts=counts, densities=densities, samples=samples)

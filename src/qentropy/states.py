@@ -61,16 +61,9 @@ class PureState:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, with near-ties grouped into clusters.
-
-    Two adjacent values belong to the same cluster when their gap is below
-    cluster_tolerance relative to max(value, 1/N); below that gap the
-    downstream pole expansions are numerically meaningless, so the values
-    are treated as exactly equal.
-    """
+    """Eigenvalues of a state (probabilities), sorted descending."""
 
     values: np.ndarray
-    cluster_tolerance: float = CLUSTER_TOL
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -80,13 +73,18 @@ class Spectrum:
         return len(self.values)
 
     def clusters(self) -> list[tuple[int, int]]:
-        """Half-open index ranges [start, stop) of equal-value groups."""
+        """Half-open index ranges [start, stop) of near-equal groups.
+
+        Two adjacent values share a group when their gap is at most
+        CLUSTER_TOL relative to max(value, 1/N).  No entropy or density
+        route needs the grouping: S_F and P(s) take ties as they are.
+        """
         v = self.values
         n = len(v)
         out = []
         start = 0
         for i in range(1, n + 1):
-            if i == n or v[start] - v[i] > self.cluster_tolerance * max(v[start], 1.0 / n):
+            if i == n or v[start] - v[i] > CLUSTER_TOL * max(v[start], 1.0 / n):
                 out.append((start, i))
                 start = i
         return out
@@ -100,7 +98,7 @@ class Spectrum:
         return np.asarray(reps), np.asarray(mults, dtype=int)
 
 
-def spectrum_from_values(values, cluster_tolerance: float = CLUSTER_TOL) -> Spectrum:
+def spectrum_from_values(values) -> Spectrum:
     """Build a Spectrum from raw probabilities (sorted here; zeros kept)."""
     v = np.asarray(values, dtype=float)
     if not np.isfinite(v).all():
@@ -114,7 +112,7 @@ def spectrum_from_values(values, cluster_tolerance: float = CLUSTER_TOL) -> Spec
     # the exactly rounded sum makes the result independent of the input
     # order and of zero padding
     v = v / math.fsum(v.tolist())
-    return Spectrum(v, cluster_tolerance)
+    return Spectrum(v)
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -172,15 +170,14 @@ def _spectra(evals: np.ndarray) -> np.ndarray:
     return v / v.sum(axis=-1, keepdims=True)
 
 
-def eig_hermitian(rho: DensityMatrix, cluster_tolerance: float = CLUSTER_TOL):
+def eig_hermitian(rho: DensityMatrix):
     """Spectrum (descending, clamped, renormalized) and eigenbasis of rho."""
     try:
         evals, evecs = np.linalg.eigh(rho.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailureError(str(exc)) from exc
     # eigh returns the eigenvalues in ascending order
-    return (Spectrum(_spectra(evals), cluster_tolerance),
-            MeasurementBasis(rho.dim, evecs[:, ::-1]))
+    return Spectrum(_spectra(evals)), MeasurementBasis(rho.dim, evecs[:, ::-1])
 
 
 def haar_unitary(dim: int, rng: RngStream) -> MeasurementBasis:

@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from qentropy import (
     mc_density_histogram,
     spectrum_from_values,
 )
-from qentropy.cli import main
+from qentropy.cli import build_parser, main
 from qentropy.io import load_density
 
 
@@ -111,6 +114,14 @@ class TestEntropyCommand:
         expected = math.log(2) + 1 / 3 + 1 / 4
         assert f"{expected:.12g}" in out
 
+    @pytest.mark.parametrize("argv", [["entropy"], ["mc"], ["pdensity"]])
+    def test_input_with_dim_exit_2(self, capsys, matrix_file, argv):
+        code, out, err = run(capsys, *argv, "--input", matrix_file(np.eye(2) / 2),
+                             "--dim", "8")
+        assert code == 2
+        assert out == ""
+        assert "--dim pads a --spectrum only" in err
+
 
 class TestMcCommand:
     def test_pure_state(self, capsys, spectrum_file):
@@ -142,6 +153,14 @@ class TestMcCommand:
         _, out2, _ = run(capsys, "mc", "--spectrum", path, "--samples", "60000",
                          "--seed", "3", "--workers", "4")
         assert out1 == out2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, spectrum_file, workers):
+        code, out, err = run(capsys, "mc", "--spectrum", spectrum_file("0.6 0.4"),
+                             "--samples", "1000", "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert f"--workers must be at least 1, got {workers}" in err
 
     def test_env_seed(self, capsys, spectrum_file, monkeypatch):
         path = spectrum_file("0.6 0.4")
@@ -362,3 +381,62 @@ class TestRandomStateRoundTrip:
         _, out1, _ = run(capsys, "random-state", "--dim", "3", "--seed", "13")
         _, out2, _ = run(capsys, "random-state", "--dim", "3", "--seed", "13")
         assert out1 == out2
+
+    def test_nondeterministic_only_without_a_seed(self, capsys, monkeypatch):
+        monkeypatch.delenv("QENT_SEED", raising=False)
+        argv = ["random-state", "--dim", "2", "--nondeterministic"]
+        _, free1, _ = run(capsys, *argv)
+        _, free2, _ = run(capsys, *argv)
+        assert free1 != free2
+        _, seeded, _ = run(capsys, "random-state", "--dim", "2", "--seed", "3")
+        _, flag, _ = run(capsys, *argv, "--seed", "3")
+        monkeypatch.setenv("QENT_SEED", "3")
+        _, env, _ = run(capsys, *argv)
+        assert flag == env == seeded
+
+
+COMMAND_OPTIONS = {
+    "entropy": {"--input", "--spectrum", "--dim", "--precision", "--bits", "--format"},
+    "mc": {"--input", "--spectrum", "--dim", "--seed", "--nondeterministic",
+           "--precision", "--bits", "--workers", "--samples", "--mode"},
+    "pdensity": {"--input", "--spectrum", "--dim", "--grid", "--output"},
+    "fig1": {"--seed", "--nondeterministic", "--dim", "--count", "--max-n", "--output"},
+    "inset": {"--max-dim", "--output"},
+    "check": {"--seed", "--nondeterministic", "ids", "--trials", "--dims", "--dim",
+              "--output"},
+    "random-state": {"--seed", "--nondeterministic", "--dim", "--output"},
+}
+
+# options every command used to accept, with a value for those that take one
+FORMERLY_COMMON = {"--seed": ["5"], "--nondeterministic": [], "--precision": ["3"],
+                   "--bits": [], "--format": ["csv"], "--workers": ["2"]}
+
+
+class TestOptions:
+    def test_each_command_takes_only_the_options_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {name: {(a.option_strings or [a.dest])[0] for a in p._actions
+                          if not isinstance(a, argparse._HelpAction)}
+                   for name, p in sub.choices.items()}
+        assert options == COMMAND_OPTIONS
+        assert sum(map(len, options.values())) == 40
+
+    @pytest.mark.parametrize("command,option", [
+        (command, option) for command, kept in COMMAND_OPTIONS.items()
+        for option in FORMERLY_COMMON if option not in kept])
+    def test_option_a_command_does_not_read_exit_2(self, capsys, command, option):
+        required = ["--dim", "2"] if command == "random-state" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, option, *FORMERLY_COMMON[option]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_cli_block_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0] for line in block.splitlines()
+                 if line.startswith("qentropy ")]
+        assert len(lines) >= len(COMMAND_OPTIONS)
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qentropy import (
+    DimensionMismatchError,
     InsufficientSamplesError,
     RngStream,
     absolute_entropy,
@@ -118,3 +119,8 @@ class TestDensityHistogram:
             mc_density_histogram(spec, 2, 5_000, 20, RngStream(1))
         with pytest.raises(InsufficientSamplesError):
             mc_density_histogram(spec, 2, 20_000, 5, RngStream(1))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            mc_density_histogram(spectrum_from_values([0.6, 0.4]), 3, 20_000, 20,
+                                 RngStream(1))
