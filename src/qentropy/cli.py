@@ -72,7 +72,7 @@ def _load_spectrum_and_dim(args) -> tuple[Spectrum, int]:
         return spec, rho.dim
     if args.spectrum:
         spec = io.load_spectrum(args.spectrum)
-        dim = args.dim or spec.dim
+        dim = spec.dim if args.dim is None else args.dim
         if dim < spec.dim:
             raise _CliError(f"--dim {dim} smaller than spectrum length {spec.dim}",
                             EXIT_VALIDATION)
@@ -101,6 +101,7 @@ def _out_stream(args):
 
 
 def cmd_entropy(args) -> int:
+    _require_at_least("--precision", args.precision, 0)
     spec, dim = _load_spectrum_and_dim(args)
     report = absolute_entropy(spec, dim)
     unit = "bits" if args.bits else "nats"
@@ -118,6 +119,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    _require_at_least("--precision", args.precision, 0)
     _require_at_least("--workers", args.workers, 1)
     spec, dim = _load_spectrum_and_dim(args)
     seed = _resolve_seed(args)

@@ -7,14 +7,14 @@ spectrum, evaluated as one gap-free integral with a fixed trapezoid rule;
 repeated, tiny and zero eigenvalues take the same route as any other.
 The outcome-weight density P(s) is a B-spline with its knots at the
 eigenvalues; integrating -s ln s against it is the independent second
-route.  Only the appendix identities keep the pole expansion.
+route.  Only the appendix identities keep the pole expansion, summed in
+exact rationals.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -291,11 +291,15 @@ def identity_residuals(spectrum: Spectrum, dim: int, s: float = 0.5):
     """Residuals of the two partial-fraction identities behind the density.
 
     Returns (|sum_r p_r^N / gap product - 1|, [moment residuals for
-    n = 0..N-2 at the probe point s]).  Evaluated at 40 digits so the
-    result reflects the identities, not float cancellation.  The gap
+    n = 0..N-2 at the probe point s]).  Every float is a dyadic rational,
+    so the sums are exact rationals: the first residual is exactly
+    |sum_r p_r - 1| and every moment residual is exactly 0.  The gap
     products need distinct eigenvalues: a tie, zeros included, raises
     DegenerateSpectrumError.
     """
+    # imported here, so that only this paper check pays for loading it
+    from fractions import Fraction
+
     if spectrum.dim != dim:
         raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
     nodes = np.sort(spectrum.values)
@@ -303,22 +307,13 @@ def identity_residuals(spectrum: Spectrum, dim: int, s: float = 0.5):
     if ties.size:
         raise DegenerateSpectrumError(
             f"eigenvalue {ties[0]:g} is repeated; the identities need distinct eigenvalues")
-    with mpmath.workdps(40):
-        zs = [mpmath.mpf(repr(float(z))) for z in nodes]
-        sp = mpmath.mpf(repr(float(s)))
-        weights = []
-        for r, p in enumerate(zs):
-            prod = mpmath.mpf(1)
-            for rp, q in enumerate(zs):
-                if rp != r:
-                    prod *= p - q
-            weights.append(1 / prod)
-        eid1 = abs(mpmath.fsum(w * p**dim for w, p in zip(weights, zs)) - 1)
-        moments = [
-            abs(mpmath.fsum(w * (sp - p)**n for w, p in zip(weights, zs)))
-            for n in range(0, dim - 1)
-        ]
-        return float(eid1), [float(m) for m in moments]
+    ps = [Fraction(float(z)) for z in nodes]
+    sp = Fraction(float(s))
+    gaps = [math.prod(p - q for q in ps if q != p) for p in ps]
+    eid1 = abs(sum(p**dim / g for p, g in zip(ps, gaps)) - 1)
+    moments = [abs(sum((sp - p)**n / g for p, g in zip(ps, gaps)))
+               for n in range(0, dim - 1)]
+    return float(eid1), [float(m) for m in moments]
 
 
 @dataclass(frozen=True)

@@ -57,11 +57,6 @@ def density_to_text(rho: DensityMatrix) -> str:
                        "dim": rho.dim, "matrix": pairs}, indent=1) + "\n"
 
 
-def save_density(rho: DensityMatrix, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(density_to_text(rho))
-
-
 def parse_spectrum(text: str) -> Spectrum:
     tokens = text.split()
     if not tokens:
@@ -76,8 +71,3 @@ def parse_spectrum(text: str) -> Spectrum:
 def load_spectrum(path) -> Spectrum:
     with open(path, encoding="utf-8") as fh:
         return parse_spectrum(fh.read())
-
-
-def save_spectrum(spectrum: Spectrum, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(" ".join(f"{v:.17g}" for v in spectrum.values) + "\n")

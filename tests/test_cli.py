@@ -122,6 +122,29 @@ class TestEntropyCommand:
         assert out == ""
         assert "--dim pads a --spectrum only" in err
 
+    @pytest.mark.parametrize("argv", [["entropy"], ["mc", "--samples", "1000"],
+                                      ["pdensity"]])
+    def test_dim_zero_exit_3(self, capsys, spectrum_file, argv):
+        code, out, err = run(capsys, *argv, "--spectrum", spectrum_file("0.6 0.3 0.1"),
+                             "--dim", "0")
+        assert code == 3
+        assert out == ""
+        assert "--dim 0 smaller than spectrum length 3" in err
+
+    @pytest.mark.parametrize("argv", [["entropy"], ["mc", "--samples", "1000"]])
+    def test_negative_precision_exit_2(self, capsys, spectrum_file, argv):
+        code, out, err = run(capsys, *argv, "--spectrum", spectrum_file("0.6 0.3 0.1"),
+                             "--precision", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--precision must be at least 0, got -1" in err
+
+    def test_precision_zero(self, capsys, spectrum_file):
+        code, out, _ = run(capsys, "entropy", "--spectrum", spectrum_file("0.5 0.5"),
+                           "--precision", "0")
+        assert code == 0
+        assert "S        = 0.7 nats   (absolute)" in out
+
 
 class TestMcCommand:
     def test_pure_state(self, capsys, spectrum_file):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -538,3 +539,16 @@ class TestIdentityResiduals:
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSpectrumError):
             identity_residuals(spectrum_from_values([0.5, 0.25, 0.25]), 3)
+
+    @pytest.mark.parametrize("dim", [24, 32])
+    def test_exact_at_large_n(self, dim):
+        # at these sizes the sums cancel by more than 40 digits, so only
+        # exact arithmetic keeps the moments at 0
+        gen = RngStream(59).generator()
+        for _ in range(3):
+            spec = spectrum_from_values(gen.dirichlet(np.ones(dim)))
+            eid1, moments = identity_residuals(spec, dim)
+            assert len(moments) == dim - 1
+            assert all(m == 0.0 for m in moments)
+            assert eid1 == float(abs(sum(map(Fraction, spec.values)) - 1))
+            assert eid1 <= 1e-15
