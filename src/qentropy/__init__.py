@@ -10,7 +10,6 @@ from .entropy import (
     density_curve,
     density_p,
     entropy_by_quadrature,
-    entropy_report_for_density,
     excess_entropy,
     identity_residuals,
     kernel_integral,

@@ -27,7 +27,7 @@ from .entropy import absolute_entropy, density_curve
 from .errors import DegenerateSpectrumError, DimensionMismatchError, QentropyError
 from .montecarlo import mc_entropy_estimate
 from .rng import DEFAULT_SEED, RngStream
-from .states import Spectrum, eig_hermitian, spectrum_from_values, validate_density
+from .states import Spectrum, spectrum_from_values
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -60,16 +60,14 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _load_spectrum_and_dim(args) -> tuple[Spectrum, int]:
-    """Input state as a spectrum: from a matrix file or a spectrum file."""
+def _load_spectrum(args) -> Spectrum:
+    """Input state as a spectrum: from a matrix file or a zero-padded spectrum file."""
     if args.input and args.spectrum:
         raise _CliError("give either --input or --spectrum, not both", EXIT_PARSE)
     if args.input and args.dim is not None:
         raise _CliError("--dim pads a --spectrum only", EXIT_PARSE)
     if args.input:
-        rho = io.load_density(args.input)
-        spec, _ = eig_hermitian(rho)
-        return spec, rho.dim
+        return io.load_density(args.input).spectrum
     if args.spectrum:
         spec = io.load_spectrum(args.spectrum)
         dim = spec.dim if args.dim is None else args.dim
@@ -79,7 +77,7 @@ def _load_spectrum_and_dim(args) -> tuple[Spectrum, int]:
         if dim > spec.dim:
             padded = np.concatenate([spec.values, np.zeros(dim - spec.dim)])
             spec = spectrum_from_values(padded)
-        return spec, dim
+        return spec
     raise _CliError("an input state is required (--input or --spectrum)", EXIT_PARSE)
 
 
@@ -102,15 +100,15 @@ def _out_stream(args):
 
 def cmd_entropy(args) -> int:
     _require_at_least("--precision", args.precision, 0)
-    spec, dim = _load_spectrum_and_dim(args)
-    report = absolute_entropy(spec, dim)
+    spec = _load_spectrum(args)
+    report = absolute_entropy(spec, spec.dim)
     unit = "bits" if args.bits else "nats"
     if args.format == "csv":
         print("dim,s_h,s0,s_f,s_total,unit")
-        print(f"{dim},{_fmt(args, report.s_h)},{_fmt(args, report.s0)},"
+        print(f"{spec.dim},{_fmt(args, report.s_h)},{_fmt(args, report.s0)},"
               f"{_fmt(args, report.s_f)},{_fmt(args, report.s_total)},{unit}")
     else:
-        print(f"dim      = {dim}")
+        print(f"dim      = {spec.dim}")
         print(f"S_H      = {_fmt(args, report.s_h)} {unit}   (von Neumann)")
         print(f"S_0(N)   = {_fmt(args, report.s0)} {unit}   (minimum uncertainty)")
         print(f"S_F      = {_fmt(args, report.s_f)} {unit}   (excess statistical)")
@@ -121,12 +119,11 @@ def cmd_entropy(args) -> int:
 def cmd_mc(args) -> int:
     _require_at_least("--precision", args.precision, 0)
     _require_at_least("--workers", args.workers, 1)
-    spec, dim = _load_spectrum_and_dim(args)
+    spec = _load_spectrum(args)
     seed = _resolve_seed(args)
-    rho = _diag_density(spec)
-    est = mc_entropy_estimate(rho, args.samples, RngStream(seed), mode=args.mode,
+    est = mc_entropy_estimate(spec, args.samples, RngStream(seed), mode=args.mode,
                               workers=args.workers)
-    closed = absolute_entropy(spec, dim).s_total
+    closed = absolute_entropy(spec, spec.dim).s_total
     if est.stderr > _Z_MIN_RELATIVE_STDERR * abs(est.mean):
         z = f"{(est.mean - closed) / est.stderr:.4f}"
     else:
@@ -141,14 +138,10 @@ def cmd_mc(args) -> int:
     return 0
 
 
-def _diag_density(spec: Spectrum):
-    return validate_density(np.diag(spec.values.astype(complex)))
-
-
 def cmd_pdensity(args) -> int:
     _require_at_least("--grid", args.grid, 1)
-    spec, dim = _load_spectrum_and_dim(args)
-    curve = density_curve(spec, dim, args.grid)
+    spec = _load_spectrum(args)
+    curve = density_curve(spec, spec.dim, args.grid)
     with _out_stream(args) as out:
         out.write("s,p\n")
         out.writelines(f"{s:.12g},{p:.12g}\n" for s, p in
@@ -332,8 +325,8 @@ def main(argv=None) -> int:
     except io.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DegenerateSpectrumError as exc:
         print(f"degenerate spectrum: {exc}\n"

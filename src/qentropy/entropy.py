@@ -22,7 +22,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidDistributionError,
 )
-from .states import MeasurementBasis, DensityMatrix, Spectrum, eig_hermitian
+from .states import MeasurementBasis, DensityMatrix, Spectrum
 
 EULER_GAMMA = 0.5772156649015329
 EXCESS_BOUND = 1.0 - EULER_GAMMA
@@ -50,7 +50,7 @@ _BLOCK_ENTRIES = 1 << 16
 _PANEL_EDGES = np.append(0.2 ** np.arange(13), 0.0)
 
 # Eigenvalues that spread less than this many units in the last place of
-# the largest, per dimension, are equal to rounding: eigh returns a
+# the largest, per dimension, are equal to rounding: eigvalsh returns a
 # rotated I/N as 1/N give or take a few N ulps.
 _POINT_MASS_ULPS = 16
 
@@ -72,8 +72,7 @@ def _shannon_rows(p: np.ndarray) -> np.ndarray:
 
 def von_neumann(rho: DensityMatrix) -> float:
     """Entropy of the eigenvalue spectrum, -trace(rho ln rho)."""
-    spec, _ = eig_hermitian(rho)
-    return shannon(spec.values)
+    return shannon(rho.spectrum.values)
 
 
 def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis) -> float:
@@ -151,11 +150,6 @@ def absolute_entropy(spectrum: Spectrum, dim: int) -> EntropyReport:
     s_f = excess_entropy(spectrum)
     return EntropyReport(dim=dim, s_h=shannon(spectrum.values), s0=s0,
                          s_f=s_f, s_total=s0 + s_f)
-
-
-def entropy_report_for_density(rho: DensityMatrix) -> EntropyReport:
-    spec, _ = eig_hermitian(rho)
-    return absolute_entropy(spec, rho.dim)
 
 
 def _bspline(t: np.ndarray, s: np.ndarray) -> np.ndarray:

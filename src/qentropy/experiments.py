@@ -24,12 +24,13 @@ from .errors import DimensionMismatchError
 from .rng import RngStream
 from .states import (
     DensityMatrix,
+    Spectrum,
     _dagger,
     _dephase_stack,
     _ginibre,
     _haar_from_normals,
-    _kron_stack,
     _partial_trace_stack,
+    _product_spectra,
     _spectra,
     _validated_stack,
     spectrum_from_values,
@@ -107,15 +108,15 @@ def random_spectrum(dim: int, gen: np.random.Generator):
 
 def _hs_states(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G G^dagger / trace for a (k, n, n) Ginibre stack, validated; with the
-    ascending eigenvalues of each state."""
+    spectrum of each state."""
     m = g @ _dagger(g)
     return _validated_stack(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
 
 
 def random_density_hs(dim: int, gen: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt random state: G G^dagger / trace for Ginibre G."""
-    rho, _ = _hs_states(_ginibre([gen], dim)[0])
-    return DensityMatrix(dim, rho[0])
+    rho, p = _hs_states(_ginibre([gen], dim)[0])
+    return DensityMatrix(rho[0], Spectrum(p[0]))
 
 
 def _trial_gen(rng: RngStream, tag: int, trial: int) -> np.random.Generator:
@@ -170,59 +171,52 @@ def fig1_inset(max_dim: int) -> list[tuple[int, float, float]]:
 # The random trials.  Each takes one generator per trial and the trial's
 # dims, draws every trial's state from its own generator in a fixed order,
 # and returns (lhs, rhs) arrays over the block; the margin is rhs - lhs.
+# The entropies take (k, N) stacks of spectra.
 
-def _excess(evals: np.ndarray) -> np.ndarray:
-    return _excess_rows(_spectra(evals))
-
-
-def _total(evals: np.ndarray) -> np.ndarray:
-    """Absolute entropy S = s0(N) + F of states with these eigenvalues."""
-    return s0_exact(evals.shape[1]) + _excess(evals)
+def _total(p: np.ndarray) -> np.ndarray:
+    """Absolute entropy S = s0(N) + F of states with these spectra."""
+    return s0_exact(p.shape[1]) + _excess_rows(p)
 
 
 def _reduced(rho: np.ndarray, dims, keep: int) -> np.ndarray:
-    """Eigenvalues of subsystem `keep` of each bipartite state."""
-    return np.linalg.eigvalsh(_partial_trace_stack(rho, dims, keep))
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each product state a x b."""
-    return np.linalg.eigvalsh(_kron_stack(a, b))
+    """Spectra of subsystem `keep` of each bipartite state."""
+    return _spectra(np.linalg.eigvalsh(_partial_trace_stack(rho, dims, keep)))
 
 
 def _ei1(gens, dims):
     """A subsystem needs less information than the whole: S(A) <= S(AB)."""
     n, m = dims
-    rho, evals = _hs_states(_ginibre(gens, n * m)[0])
-    return _total(_reduced(rho, dims, 0)), _total(evals)
+    rho, p = _hs_states(_ginibre(gens, n * m)[0])
+    return _total(_reduced(rho, dims, 0)), _total(p)
 
 
 def _ei2(gens, dims):
     """Superadditivity on product states: S(A) + S(B) <= S(A x B)."""
-    (a, ev_a), (b, ev_b) = (_hs_states(g) for g in _ginibre(gens, *dims))
-    return _total(ev_a) + _total(ev_b), _total(_product(a, b))
+    (_, p), (_, q) = (_hs_states(g) for g in _ginibre(gens, *dims))
+    return _total(p) + _total(q), _total(_product_spectra(p, q))
 
 
 def _ei3_product(gens, dims):
     """Excess subadditivity on product states: F(A x B) <= F(A) + F(B)."""
-    (a, ev_a), (b, ev_b) = (_hs_states(g) for g in _ginibre(gens, *dims))
-    return _excess(_product(a, b)), _excess(ev_a) + _excess(ev_b)
+    (_, p), (_, q) = (_hs_states(g) for g in _ginibre(gens, *dims))
+    return _excess_rows(_product_spectra(p, q)), _excess_rows(p) + _excess_rows(q)
 
 
 def _ei3_correlated(gens, dims):
     """Excess subadditivity on correlated states: F(AB) <= F(A) + F(B)."""
     n, m = dims
-    rho, evals = _hs_states(_ginibre(gens, n * m)[0])
-    return _excess(evals), _excess(_reduced(rho, dims, 0)) + _excess(_reduced(rho, dims, 1))
+    rho, p = _hs_states(_ginibre(gens, n * m)[0])
+    return (_excess_rows(p),
+            _excess_rows(_reduced(rho, dims, 0)) + _excess_rows(_reduced(rho, dims, 1)))
 
 
 def _measurement(gens, dims):
     """A projective measurement in a Haar-random basis: S(rho) <= S(sigma)."""
     (dim,) = dims
     g, z = _ginibre(gens, dim, dim)
-    rho, evals = _hs_states(g)
+    rho, p = _hs_states(g)
     sigma = _dephase_stack(rho, _haar_from_normals(z))
-    return _total(evals), _total(np.linalg.eigvalsh(sigma))
+    return _total(p), _total(_spectra(np.linalg.eigvalsh(sigma)))
 
 
 # (inequality id, substream tag) -> trial

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .states import DensityMatrix, Spectrum, spectrum_from_values, validate_density
 
 MATRIX_FORMAT = "qentropy-density-matrix"
@@ -33,10 +34,16 @@ def parse_density(text: str) -> DensityMatrix:
     if obj.get("version", MATRIX_VERSION) != MATRIX_VERSION:
         raise ParseError(f"unsupported version {obj.get('version')!r}")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         pairs = obj["matrix"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from exc
+    if type(dim) is not int:  # JSON true parses as a bool, an int subclass
+        raise ParseError(f"dim must be a JSON integer, got {dim!r}")
+    if not isinstance(pairs, list):
+        raise ParseError(f"matrix must be a list of [re, im] pairs, not {type(pairs).__name__}")
+    if dim < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
     if len(pairs) != dim * dim:
         raise ParseError(f"matrix has {len(pairs)} entries, expected {dim * dim}")
     try:
@@ -46,9 +53,16 @@ def parse_density(text: str) -> DensityMatrix:
     return validate_density(flat.reshape(dim, dim))
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_density(path) -> DensityMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return parse_density(fh.read())
+    return parse_density(_read_text(path))
 
 
 def density_to_text(rho: DensityMatrix) -> str:
@@ -69,5 +83,4 @@ def parse_spectrum(text: str) -> Spectrum:
 
 
 def load_spectrum(path) -> Spectrum:
-    with open(path, encoding="utf-8") as fh:
-        return parse_spectrum(fh.read())
+    return parse_spectrum(_read_text(path))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InsufficientSamplesError
 from .rng import RngStream
-from .states import DensityMatrix, Spectrum, _haar_from_normals, eig_hermitian
+from .states import Spectrum, _haar_from_normals
 
 CHUNK_SAMPLES = 25_000
 
@@ -90,9 +90,10 @@ def _pool(stats: list[tuple[int, float, float]]) -> tuple[int, float, float]:
     return n, mean, m2
 
 
-def mc_entropy_estimate(rho: DensityMatrix, samples: int, rng: RngStream,
+def mc_entropy_estimate(spectrum: Spectrum, samples: int, rng: RngStream,
                         mode: str = "sphere", workers: int = 1) -> McEstimate:
-    """Monte-Carlo estimate of the basis-averaged entropy of rho.
+    """Monte-Carlo estimate of the basis-averaged entropy of a state with
+    this spectrum (`rho.spectrum` for a DensityMatrix rho).
 
     mode="sphere" averages N f(s) over random pure states; mode="basis"
     averages the outcome entropy over Haar-random measurement bases.
@@ -100,8 +101,7 @@ def mc_entropy_estimate(rho: DensityMatrix, samples: int, rng: RngStream,
     """
     if samples < 100:
         raise InsufficientSamplesError(f"need >= 100 samples, got {samples}")
-    spec, _ = eig_hermitian(rho)
-    p = spec.values
+    p = spectrum.values
 
     def chunk_stats(count, gen):
         vals = _chunk_values(p, count, gen, mode)

@@ -27,17 +27,6 @@ CLUSTER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Validated quantum state: Hermitian, unit-trace, positive semi-definite."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class MeasurementBasis:
     """Orthonormal basis given as the columns of a unitary matrix."""
 
@@ -98,6 +87,22 @@ class Spectrum:
         return np.asarray(reps), np.asarray(mults, dtype=int)
 
 
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Validated quantum state: Hermitian, unit-trace, positive semi-definite.
+    `spectrum` comes from the eigvalsh that validated `matrix`."""
+
+    matrix: np.ndarray
+    spectrum: Spectrum
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
 def spectrum_from_values(values) -> Spectrum:
     """Build a Spectrum from raw probabilities (sorted here; zeros kept)."""
     v = np.asarray(values, dtype=float)
@@ -119,11 +124,17 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _spectra(evals: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (last axis) as descending, clamped, renormalized spectra."""
+    v = np.clip(evals[..., ::-1], 0.0, None)
+    return v / v.sum(axis=-1, keepdims=True)
+
+
 def _validated_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The checks of validate_density on a (k, n, n) stack of matrices.
 
-    Returns the symmetrized stack and its eigenvalues, ascending per
-    matrix: the one eigvalsh that checks positivity also gives the spectra.
+    Returns the symmetrized stack and its spectra (descending, clamped,
+    renormalized): the one eigvalsh that checks positivity also gives them.
     """
     if not np.isfinite(m).all():
         raise NonFiniteEntryError("matrix has a NaN or infinite entry")
@@ -139,23 +150,23 @@ def _validated_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     low = evals[:, 0].min()
     if low < -PSD_CLAMP:
         raise NegativeEigenvalueError(f"smallest eigenvalue {low:g} below -{PSD_CLAMP:g}")
-    return m, evals
+    return m, _spectra(evals)
 
 
 def validate_density(raw) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; symmetrize roundoff.
 
     Asymmetry up to 1e-12 is removed by (M + M†)/2; anything larger is an
-    error.  Eigenvalues in [-1e-10, 0) are accepted (clamped downstream).
+    error.  Eigenvalues in [-1e-10, 0) are accepted and clamped to 0 in
+    the spectrum.
     """
     m = np.asarray(raw, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n < 1:
+    if m.shape[0] < 1:
         raise DimensionMismatchError("dimension must be >= 1")
-    m, _ = _validated_stack(m[None])
-    return DensityMatrix(n, m[0])
+    m, p = _validated_stack(m[None])
+    return DensityMatrix(m[0], Spectrum(p[0]))
 
 
 def pure_density(psi: PureState) -> DensityMatrix:
@@ -164,20 +175,14 @@ def pure_density(psi: PureState) -> DensityMatrix:
     return validate_density(np.outer(v, v.conj()))
 
 
-def _spectra(evals: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (last axis) as descending, clamped, renormalized spectra."""
-    v = np.clip(evals[..., ::-1], 0.0, None)
-    return v / v.sum(axis=-1, keepdims=True)
-
-
 def eig_hermitian(rho: DensityMatrix):
-    """Spectrum (descending, clamped, renormalized) and eigenbasis of rho."""
+    """rho's spectrum and an eigenbasis, its columns in descending eigenvalue order."""
     try:
-        evals, evecs = np.linalg.eigh(rho.matrix)
+        _, evecs = np.linalg.eigh(rho.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailureError(str(exc)) from exc
     # eigh returns the eigenvalues in ascending order
-    return Spectrum(_spectra(evals)), MeasurementBasis(rho.dim, evecs[:, ::-1])
+    return rho.spectrum, MeasurementBasis(rho.dim, evecs[:, ::-1])
 
 
 def haar_unitary(dim: int, rng: RngStream) -> MeasurementBasis:
@@ -223,15 +228,17 @@ def random_pure_state(dim: int, rng: RngStream) -> PureState:
     return PureState(dim, z / np.linalg.norm(z))
 
 
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of matching entries of a (k, n, n) and a (k, m, m) stack."""
-    k, n, m = len(a), a.shape[1], b.shape[1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, n * m, n * m)
+def _product_spectra(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Spectra of the product states of a (k, n) and a (k, m) stack of
+    spectra: the outer products, sorted descending."""
+    outer = (p[:, :, None] * q[:, None, :]).reshape(len(p), -1)
+    return np.sort(outer, axis=1)[:, ::-1]
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product state of two independent subsystems."""
-    return DensityMatrix(a.dim * b.dim, _kron_stack(a.matrix[None], b.matrix[None])[0])
+    p = _product_spectra(a.spectrum.values[None], b.spectrum.values[None])
+    return DensityMatrix(np.kron(a.matrix, b.matrix), Spectrum(p[0]))
 
 
 def _partial_trace_stack(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -249,8 +256,7 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> Densi
         raise DimensionMismatchError(f"state dim {rho.dim} != {n}*{m}")
     if keep not in (0, 1):
         raise DimensionMismatchError("keep must be 0 or 1")
-    red = _partial_trace_stack(rho.matrix[None], dims, keep)[0]
-    return DensityMatrix(red.shape[0], red)
+    return validate_density(_partial_trace_stack(rho.matrix[None], dims, keep)[0])
 
 
 def projective_update(rho: DensityMatrix, projectors) -> DensityMatrix:
@@ -267,7 +273,7 @@ def projective_update(rho: DensityMatrix, projectors) -> DensityMatrix:
     out = np.zeros((n, n), dtype=complex)
     for p in projectors:
         out += p @ rho.matrix @ p
-    return DensityMatrix(n, 0.5 * (out + out.conj().T))
+    return validate_density(0.5 * (out + out.conj().T))
 
 
 def _dephase_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -107,6 +107,43 @@ class TestEntropyCommand:
         code, _, _ = run(capsys, "entropy", "--spectrum", "/nonexistent/path")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--spectrum", "--input"])
+    def test_directory_or_non_utf8_input_exit_2(self, capsys, tmp_path, flag):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"0.5 0.5\xff")
+        for path in (tmp_path, latin1):
+            code, out, err = run(capsys, "entropy", flag, str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith(("error:", "parse error:"))
+
+    @pytest.mark.parametrize("fields,expected", [
+        ('"dim": -2, "matrix": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]', 3),
+        ('"dim": 2, "matrix": 5', 2),
+        ('"dim": 1e400, "matrix": [[1, 0]]', 2),
+        ('"dim": 2.7, "matrix": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]', 2),
+        ('"dim": true, "matrix": [[1, 0]]', 2),
+    ], ids=["negative-dim", "matrix-not-list", "dim-overflow", "float-dim", "bool-dim"])
+    def test_malformed_dim_or_matrix_field(self, capsys, tmp_path, fields, expected):
+        path = tmp_path / "state.json"
+        path.write_text('{"format": "qentropy-density-matrix", "version": 1, ' + fields + "}")
+        code, out, _ = run(capsys, "entropy", "--input", str(path))
+        assert (code, out) == (expected, "")
+
+    def test_entropy_and_mc_never_call_eigh(self, capsys, monkeypatch, matrix_file,
+                                            spectrum_file):
+        # a validated state carries the spectrum of the eigvalsh that checked it
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        u = haar_unitary(3, RngStream(41)).columns
+        state = matrix_file(u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        code, out, _ = run(capsys, "entropy", "--input", state)
+        assert code == 0 and "S        =" in out
+        code, out, _ = run(capsys, "mc", "--spectrum", spectrum_file("0.5 0.3 0.2"),
+                           "--samples", "1000")
+        assert code == 0 and "closed   =" in out
+
     def test_dim_padding(self, capsys, spectrum_file):
         code, out, _ = run(capsys, "entropy", "--spectrum", spectrum_file("0.5 0.5"),
                            "--dim", "4")
@@ -372,6 +409,11 @@ class TestExperimentCommands:
         code, out, _ = run(capsys, "fig1", "--count", "2", "--max-n", "0")
         assert code == 0
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["random_mixture"] * 2
+
+    def test_output_directory_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "inset", "--max-dim", "3", "--output", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_inset_zero_max_dim(self, capsys):
         code, out, _ = run(capsys, "inset", "--max-dim", "0")

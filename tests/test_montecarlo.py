@@ -16,50 +16,50 @@ from qentropy import (
 )
 
 
-def diag_state(values):
-    return validate_density(np.diag(np.asarray(values, dtype=complex)))
+def diag_spectrum(values):
+    return validate_density(np.diag(np.asarray(values, dtype=complex))).spectrum
 
 
 class TestEntropyEstimate:
     def test_pure_state_dim_two(self):
-        est = mc_entropy_estimate(diag_state([1.0, 0.0]), 100_000, RngStream(101))
+        est = mc_entropy_estimate(diag_spectrum([1.0, 0.0]), 100_000, RngStream(101))
         assert abs(est.mean - 0.5) <= 4 * est.stderr
 
     def test_maximally_mixed_basis_mode(self):
         # every basis gives uniform outcome probabilities: variance ~ 0
-        est = mc_entropy_estimate(diag_state([1 / 3] * 3), 1_000, RngStream(103),
+        est = mc_entropy_estimate(diag_spectrum([1 / 3] * 3), 1_000, RngStream(103),
                                   mode="basis")
         assert est.mean == pytest.approx(math.log(3), abs=1e-10)
         assert est.stderr <= 1e-10
 
     def test_matches_closed_form(self):
         spec = spectrum_from_values([0.75, 0.25])
-        est = mc_entropy_estimate(diag_state([0.75, 0.25]), 100_000, RngStream(107))
+        est = mc_entropy_estimate(diag_spectrum([0.75, 0.25]), 100_000, RngStream(107))
         closed = absolute_entropy(spec, 2).s_total
         assert abs(est.mean - closed) <= 4 * est.stderr
 
     def test_mode_agreement(self):
-        rho = diag_state([0.5, 0.3, 0.2])
+        rho = diag_spectrum([0.5, 0.3, 0.2])
         sphere = mc_entropy_estimate(rho, 60_000, RngStream(109), mode="sphere")
         basis = mc_entropy_estimate(rho, 20_000, RngStream(113), mode="basis")
         combined = math.hypot(sphere.stderr, basis.stderr)
         assert abs(sphere.mean - basis.mean) <= 4 * combined
 
     def test_stderr_scaling(self):
-        rho = diag_state([0.6, 0.4])
+        rho = diag_spectrum([0.6, 0.4])
         small = mc_entropy_estimate(rho, 10_000, RngStream(127))
         large = mc_entropy_estimate(rho, 40_000, RngStream(131))
         ratio = small.stderr / large.stderr
         assert 1.6 <= ratio <= 2.4
 
     def test_seed_determinism(self):
-        rho = diag_state([0.7, 0.3])
+        rho = diag_spectrum([0.7, 0.3])
         a = mc_entropy_estimate(rho, 30_000, RngStream(137))
         b = mc_entropy_estimate(rho, 30_000, RngStream(137))
         assert a == b
 
     def test_worker_invariance(self):
-        rho = diag_state([0.5, 0.3, 0.2])
+        rho = diag_spectrum([0.5, 0.3, 0.2])
         serial = mc_entropy_estimate(rho, 80_000, RngStream(139), workers=1)
         parallel = mc_entropy_estimate(rho, 80_000, RngStream(139), workers=4)
         assert serial == parallel
@@ -68,13 +68,13 @@ class TestEntropyEstimate:
         # estimate depends only on the spectrum, not the eigenbasis
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         rotated = validate_density(h @ np.diag([0.7, 0.3]) @ h.T)
-        a = mc_entropy_estimate(diag_state([0.7, 0.3]), 5_000, RngStream(149))
-        b = mc_entropy_estimate(rotated, 5_000, RngStream(149))
+        a = mc_entropy_estimate(diag_spectrum([0.7, 0.3]), 5_000, RngStream(149))
+        b = mc_entropy_estimate(rotated.spectrum, 5_000, RngStream(149))
         assert a.mean == pytest.approx(b.mean, abs=1e-12)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
-            mc_entropy_estimate(diag_state([0.5, 0.5]), 99, RngStream(1))
+            mc_entropy_estimate(diag_spectrum([0.5, 0.5]), 99, RngStream(1))
 
 
 class TestDensityHistogram:

@@ -21,6 +21,7 @@ from qentropy import (
     tensor,
     validate_density,
 )
+from qentropy.experiments import random_density_hs
 
 
 def two_level_eigs(a, d, b):
@@ -217,6 +218,16 @@ class TestComposition:
                      validate_density(np.diag([0.6, 0.4])))
         spec, _ = eig_hermitian(rho)
         assert spec.values == pytest.approx([0.36, 0.24, 0.24, 0.16])
+
+    def test_tensor_spectrum_is_the_sorted_outer_product(self):
+        gen = RngStream(29).generator()
+        for n, m in [(2, 3), (3, 3), (4, 2)]:
+            a, b = random_density_hs(n, gen), random_density_hs(m, gen)
+            spec = tensor(a, b).spectrum.values
+            outer = np.outer(a.spectrum.values, b.spectrum.values).ravel()
+            assert np.array_equal(spec, np.sort(outer)[::-1])
+            kron = np.linalg.eigvalsh(np.kron(a.matrix, b.matrix))[::-1]
+            assert np.max(np.abs(spec - kron)) <= 1e-15
 
     def test_tensor_pure_times_mixed(self):
         rho = tensor(validate_density(np.diag([1.0, 0.0])),
