@@ -36,10 +36,7 @@ from .montecarlo import Histogram, McEstimate, mc_density_histogram, mc_entropy_
 from .rng import DEFAULT_SEED, RngStream
 from .states import (
     DensityMatrix,
-    MeasurementBasis,
-    PureState,
     Spectrum,
-    basis_projectors,
     eig_hermitian,
     haar_unitary,
     partial_trace,

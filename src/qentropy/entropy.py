@@ -22,7 +22,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidDistributionError,
 )
-from .states import MeasurementBasis, DensityMatrix, Spectrum
+from .states import DensityMatrix, Spectrum
 
 EULER_GAMMA = 0.5772156649015329
 EXCESS_BOUND = 1.0 - EULER_GAMMA
@@ -75,12 +75,12 @@ def von_neumann(rho: DensityMatrix) -> float:
     return shannon(rho.spectrum.values)
 
 
-def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis) -> float:
-    """Shannon entropy of the outcome probabilities <a|rho|a> in `basis`."""
-    if rho.dim != basis.dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} != basis dim {basis.dim}")
-    u = basis.columns
-    probs = np.einsum("ia,ij,ja->a", u.conj(), rho.matrix, u).real
+def conditional_entropy(rho: DensityMatrix, basis: np.ndarray) -> float:
+    """Shannon entropy of the outcome probabilities <a|rho|a> for the
+    columns |a> of the unitary `basis`."""
+    if basis.shape != (rho.dim, rho.dim):
+        raise DimensionMismatchError(f"basis shape {basis.shape} for a state of dim {rho.dim}")
+    probs = np.einsum("ia,ij,ja->a", basis.conj(), rho.matrix, basis).real
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     return shannon(probs)

@@ -1,5 +1,5 @@
 """Desk-scale reproductions: the excess-vs-von-Neumann correlation figure,
-the entropy inequality suites, and the projective-measurement scan.
+the entropy inequality suites, and the projective-measurement check.
 
 Every random trial draws from its own substream, so any violation can be
 re-generated from the (seed, stream_id, tag, trial) recorded in its
@@ -278,10 +278,13 @@ def inequality_suite(trials: int, dims, rng: RngStream) -> list[InequalityReport
 
 
 def measurement_conjecture_scan(trials: int, dim: int, rng: RngStream) -> InequalityReport:
-    """Does a projective measurement ever lower the absolute entropy?
+    """Check that a projective measurement never lowers the absolute entropy.
 
-    The conjecture (unproven) is that it cannot; violations are findings,
-    recorded as certificates, not errors.
+    This is a theorem.  The post-measurement state sigma = sum_j P_j rho P_j
+    is a pinching of rho, so spec(sigma) is majorised by spec(rho) (Bhatia,
+    Matrix Analysis, ch. II).  S_F is symmetric and concave, hence
+    Schur-concave, and S_0(N) does not change, so S(sigma) >= S(rho).  A
+    violation means a fault in S_F or in the measurement update.
     """
     report = InequalityReport("measurement_monotonicity")
     _run(report, TAG_MEASUREMENT, 0, trials, (dim,), rng)

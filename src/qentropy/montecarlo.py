@@ -17,6 +17,10 @@ from .rng import RngStream
 from .states import Spectrum, _haar_from_normals
 
 CHUNK_SAMPLES = 25_000
+# A basis-mode chunk draws a (count, N, N) Ginibre stack; it holds at most
+# this many matrix entries, so memory stays flat in N.  Chunks at N <= 6
+# keep CHUNK_SAMPLES.
+_BASIS_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,9 +49,10 @@ def _f(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_chunks(samples: int, rng: RngStream, workers: int, fn) -> list:
+def _run_chunks(samples: int, rng: RngStream, workers: int, fn,
+                chunk: int = CHUNK_SAMPLES) -> list:
     """fn(count, rng.child(i)) for each chunk i of `samples`, in chunk order."""
-    sizes = [min(CHUNK_SAMPLES, samples - start) for start in range(0, samples, CHUNK_SAMPLES)]
+    sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
 
     def run(index):
         return fn(sizes[index], rng.child(index))
@@ -108,7 +113,10 @@ def mc_entropy_estimate(spectrum: Spectrum, samples: int, rng: RngStream,
         mean = vals.mean()
         return count, float(mean), float(np.sum((vals - mean) ** 2))
 
-    n, mean, m2 = _pool(_run_chunks(samples, rng, workers, chunk_stats))
+    chunk = CHUNK_SAMPLES
+    if mode == "basis":
+        chunk = max(1, min(chunk, _BASIS_CHUNK_ENTRIES // len(p) ** 2))
+    n, mean, m2 = _pool(_run_chunks(samples, rng, workers, chunk_stats, chunk))
     std = math.sqrt(m2 / (n - 1))
     return McEstimate(mean=mean, stderr=std / math.sqrt(n), samples=n, seed=rng.seed)
 

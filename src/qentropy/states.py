@@ -1,4 +1,4 @@
-"""Density matrices, spectra, measurement bases and Haar sampling.
+"""Density matrices, spectra, measurement updates and Haar sampling.
 
 Everything here is a pure function of its inputs; sampling takes an
 explicit RngStream so there is no hidden global state.
@@ -24,28 +24,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_CLAMP = 1e-10
 CLUSTER_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Orthonormal basis given as the columns of a unitary matrix."""
-
-    dim: int
-    columns: np.ndarray
-
-    def __post_init__(self):
-        self.columns.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Unit vector of complex amplitudes."""
-
-    dim: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -169,29 +147,29 @@ def validate_density(raw) -> DensityMatrix:
     return DensityMatrix(m[0], Spectrum(p[0]))
 
 
-def pure_density(psi: PureState) -> DensityMatrix:
-    """|psi><psi| as a validated DensityMatrix."""
-    v = psi.amplitudes
-    return validate_density(np.outer(v, v.conj()))
+def pure_density(psi: np.ndarray) -> DensityMatrix:
+    """|psi><psi| for a unit vector psi, as a validated DensityMatrix."""
+    return validate_density(np.outer(psi, psi.conj()))
 
 
-def eig_hermitian(rho: DensityMatrix):
-    """rho's spectrum and an eigenbasis, its columns in descending eigenvalue order."""
+def eig_hermitian(rho: DensityMatrix) -> tuple[Spectrum, np.ndarray]:
+    """rho's spectrum and a unitary whose columns are an eigenbasis, in
+    descending eigenvalue order."""
     try:
         _, evecs = np.linalg.eigh(rho.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailureError(str(exc)) from exc
     # eigh returns the eigenvalues in ascending order
-    return rho.spectrum, MeasurementBasis(rho.dim, evecs[:, ::-1])
+    return rho.spectrum, evecs[:, ::-1]
 
 
-def haar_unitary(dim: int, rng: RngStream) -> MeasurementBasis:
+def haar_unitary(dim: int, rng: RngStream) -> np.ndarray:
     """Haar-distributed random unitary (Ginibre + QR with phase correction).
 
     The phase correction of R's diagonal is what makes the distribution
     unitarily invariant; plain QR of a Gaussian matrix is not Haar.
     """
-    return MeasurementBasis(dim, _haar_from_normals(_ginibre([rng.generator()], dim)[0])[0])
+    return _haar_from_normals(_ginibre([rng.generator()], dim)[0])[0]
 
 
 def _ginibre(gens, *dims: int) -> list[np.ndarray]:
@@ -221,11 +199,11 @@ def _haar_from_normals(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def random_pure_state(dim: int, rng: RngStream) -> PureState:
-    """Uniform sample on the unit sphere of C^dim (2*dim real Gaussians)."""
+def random_pure_state(dim: int, rng: RngStream) -> np.ndarray:
+    """Unit vector drawn uniformly from the sphere of C^dim (2*dim real Gaussians)."""
     gen = rng.generator()
     z = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-    return PureState(dim, z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
 
 
 def _product_spectra(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -259,28 +237,19 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> Densi
     return validate_density(_partial_trace_stack(rho.matrix[None], dims, keep)[0])
 
 
-def projective_update(rho: DensityMatrix, projectors) -> DensityMatrix:
-    """Post-measurement state sum_i P_i rho P_i for a complete orthogonal set."""
-    n = rho.dim
-    total = np.zeros((n, n), dtype=complex)
-    for p in projectors:
-        total += p
-    if np.max(np.abs(total - np.eye(n))) > TRACE_TOL:
-        raise IncompleteProjectorSetError("projectors do not sum to identity")
-    for i, p in enumerate(projectors):
-        if np.max(np.abs(p @ p - p)) > 1e-10:
-            raise IncompleteProjectorSetError(f"projector {i} is not idempotent")
-    out = np.zeros((n, n), dtype=complex)
-    for p in projectors:
-        out += p @ rho.matrix @ p
-    return validate_density(0.5 * (out + out.conj().T))
+def projective_update(rho: DensityMatrix, basis: np.ndarray) -> DensityMatrix:
+    """Post-measurement state sum_j P_j rho P_j, P_j the projector onto
+    column j of the unitary `basis`."""
+    if basis.shape != (rho.dim, rho.dim):
+        raise DimensionMismatchError(f"basis shape {basis.shape} for a state of dim {rho.dim}")
+    return validate_density(_dephase_stack(rho.matrix[None], basis[None])[0])
 
 
 def _dephase_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sum_j P_j rho P_j for the projectors P_j onto the columns of each u.
 
-    Computed as U diag(U† rho U) U†.  Each u must be unitary: then the P_j
-    form a complete orthogonal set, which projective_update checks.
+    Computed as U diag(U† rho U) U†.  Each u must be unitary, so that the
+    P_j form a complete orthogonal set; any other u is rejected.
     """
     n = u.shape[1]
     if np.max(np.abs(_dagger(u) @ u - np.eye(n))) > TRACE_TOL:
@@ -288,9 +257,3 @@ def _dephase_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     q = np.einsum("kia,kij,kja->ka", u.conj(), rho, u).real
     out = (u * q[:, None, :]) @ _dagger(u)
     return 0.5 * (out + _dagger(out))
-
-
-def basis_projectors(basis: MeasurementBasis) -> list[np.ndarray]:
-    """Rank-1 projectors onto the basis columns."""
-    cols = basis.columns
-    return [np.outer(cols[:, j], cols[:, j].conj()) for j in range(basis.dim)]

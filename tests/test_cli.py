@@ -135,7 +135,7 @@ class TestEntropyCommand:
         def eigh(*args, **kwargs):
             raise AssertionError("eigh called")
 
-        u = haar_unitary(3, RngStream(41)).columns
+        u = haar_unitary(3, RngStream(41))
         state = matrix_file(u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         code, out, _ = run(capsys, "entropy", "--input", state)
@@ -191,10 +191,13 @@ class TestMcCommand:
         z = float(out.splitlines()[-1].split("=")[1])
         assert abs(z) <= 4
 
-    def test_z_not_available_for_rounding_level_spread(self, capsys, spectrum_file):
-        # every sample is ln 2 in exact arithmetic; the spread is rounding
-        code, out, _ = run(capsys, "mc", "--spectrum", spectrum_file("0.5 0.5"),
-                           "--samples", "1000")
+    @pytest.mark.parametrize("spectrum,mode", [("0.5 0.5", "sphere"), ("1", "basis")])
+    def test_z_not_available_for_rounding_level_spread(self, capsys, spectrum_file,
+                                                       spectrum, mode):
+        # every sample is ln 2 (I/2) or 0 (N = 1) in exact arithmetic; the
+        # spread is rounding
+        code, out, _ = run(capsys, "mc", "--spectrum", spectrum_file(spectrum),
+                           "--samples", "1000", "--mode", mode)
         assert code == 0
         assert out.splitlines()[-1] == "z        = n/a"
 
@@ -212,6 +215,15 @@ class TestMcCommand:
                          "--seed", "3", "--workers", "1")
         _, out2, _ = run(capsys, "mc", "--spectrum", path, "--samples", "60000",
                          "--seed", "3", "--workers", "4")
+        assert out1 == out2
+
+    def test_basis_mode_workers_do_not_change_result_at_n16(self, capsys, spectrum_file):
+        # N = 16 runs basis mode in chunks of 4096 samples
+        path = spectrum_file("0.3 0.2 0.1 0.1 0.1 0.05 0.05 0.05 0.05")
+        argv = ["mc", "--spectrum", path, "--dim", "16", "--mode", "basis",
+                "--samples", "5000", "--seed", "3"]
+        _, out1, _ = run(capsys, *argv, "--workers", "1")
+        _, out2, _ = run(capsys, *argv, "--workers", "2")
         assert out1 == out2
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -263,7 +275,7 @@ class TestPdensityCommand:
     def test_rotated_uniform_matrix_exit_5(self, capsys, matrix_file):
         # eigh returns I/4 in a random basis as 1/4 give or take a few ulps,
         # still a point mass to rounding
-        u = haar_unitary(4, RngStream(5)).columns
+        u = haar_unitary(4, RngStream(5))
         path = matrix_file(u @ u.conj().T / 4)
         spec, _ = eig_hermitian(load_density(path))
         assert spec.values[0] > spec.values[-1]
@@ -340,7 +352,8 @@ class TestExperimentCommands:
                            "--dims", "2x2", "--seed", "5")
         assert code == 0
 
-    @pytest.mark.parametrize("violated,expected", [("ei3", 0), ("ei1", 4)])
+    @pytest.mark.parametrize("violated,expected", [("ei3", 0), ("ei1", 4),
+                                                   ("measurement_monotonicity", 4)])
     def test_check_exit_4_only_for_asserted_ids(self, capsys, monkeypatch,
                                                 violated, expected):
         from qentropy import experiments
@@ -446,6 +459,23 @@ class TestRandomStateRoundTrip:
         _, out1, _ = run(capsys, "random-state", "--dim", "3", "--seed", "13")
         _, out2, _ = run(capsys, "random-state", "--dim", "3", "--seed", "13")
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv,env", [
+        (["mc", "--spectrum", "{spec}", "--seed", "-1"], None),
+        (["fig1", "--seed", "-1"], None),
+        (["check", "ei1", "--seed", "-1"], None),
+        (["random-state", "--dim", "2", "--seed", "-1"], None),
+        (["random-state", "--dim", "2"], "-3"),
+    ])
+    def test_negative_seed_exit_2(self, capsys, monkeypatch, spectrum_file, argv, env):
+        if env is None:
+            monkeypatch.delenv("QENT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QENT_SEED", env)
+        argv = [a.format(spec=spectrum_file("0.6 0.4")) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "non-negative" in err
 
     def test_nondeterministic_only_without_a_seed(self, capsys, monkeypatch):
         monkeypatch.delenv("QENT_SEED", raising=False)

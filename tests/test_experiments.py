@@ -128,11 +128,11 @@ class TestMeasurementScan:
         assert min(margins) == pytest.approx(report.worst_margin, abs=1e-12)
 
     def test_eigen_projectors_leave_state_unchanged(self):
-        from qentropy import absolute_entropy, eig_hermitian, basis_projectors, projective_update
+        from qentropy import absolute_entropy, eig_hermitian, projective_update
 
         rho = random_density_hs(3, RngStream(193).generator())
-        _, basis = eig_hermitian(rho)
-        sigma = projective_update(rho, basis_projectors(basis))
+        _, u = eig_hermitian(rho)
+        sigma = projective_update(rho, u)
         before = absolute_entropy(rho.spectrum, 3).s_total
         after = absolute_entropy(sigma.spectrum, 3).s_total
         assert after == pytest.approx(before, abs=1e-9)

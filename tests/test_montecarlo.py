@@ -76,6 +76,25 @@ class TestEntropyEstimate:
         with pytest.raises(InsufficientSamplesError):
             mc_entropy_estimate(diag_spectrum([0.5, 0.5]), 99, RngStream(1))
 
+    def test_basis_mode_memory_flat_in_n(self):
+        # a basis-mode chunk holds at most _BASIS_CHUNK_ENTRIES matrix entries,
+        # so the peak is a few complex arrays of that size whatever N and the
+        # sample count; one 600-sample chunk at N = 64 would take 2.3 times more
+        import tracemalloc
+
+        from qentropy.montecarlo import _BASIS_CHUNK_ENTRIES
+
+        n = 64
+        spec = spectrum_from_values(RngStream(5).generator().dirichlet(np.ones(n)))
+        tracemalloc.start()
+        try:
+            est = mc_entropy_estimate(spec, 600, RngStream(3), mode="basis")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 16 * _BASIS_CHUNK_ENTRIES
+        assert abs(est.mean - absolute_entropy(spec, n).s_total) <= 4 * est.stderr
+
 
 class TestDensityHistogram:
     def test_pure_state_flat(self):

@@ -10,7 +10,6 @@ from qentropy import (
     NonHermitianError,
     RngStream,
     TraceDeviationError,
-    basis_projectors,
     eig_hermitian,
     haar_unitary,
     partial_trace,
@@ -78,9 +77,9 @@ class TestValidateDensity:
 
 class TestEigHermitian:
     def test_already_diagonal(self):
-        spec, basis = eig_hermitian(validate_density(np.diag([0.7, 0.3])))
+        spec, u = eig_hermitian(validate_density(np.diag([0.7, 0.3])))
         assert np.allclose(spec.values, [0.7, 0.3])
-        assert np.allclose(np.abs(basis.columns), np.eye(2))
+        assert np.allclose(np.abs(u), np.eye(2))
 
     def test_rank_one_projector(self):
         spec, _ = eig_hermitian(validate_density(0.5 * np.ones((2, 2))))
@@ -98,8 +97,7 @@ class TestEigHermitian:
         g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
         m = g @ g.conj().T
         rho = validate_density(m / m.trace().real)
-        spec, basis = eig_hermitian(rho)
-        u = basis.columns
+        spec, u = eig_hermitian(rho)
         rebuilt = u @ np.diag(spec.values) @ u.conj().T
         assert np.max(np.abs(rebuilt - rho.matrix)) <= 1e-10
         assert abs(spec.values.sum() - 1.0) <= 1e-10
@@ -123,11 +121,11 @@ class TestSpectrumClustering:
 
 class TestHaarUnitary:
     def test_dim_one_is_phase(self):
-        u = haar_unitary(1, RngStream(5)).columns
+        u = haar_unitary(1, RngStream(5))
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
     def test_orthonormal(self):
-        u = haar_unitary(2, RngStream(5)).columns
+        u = haar_unitary(2, RngStream(5))
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10
 
     def test_mean_moment(self):
@@ -158,8 +156,8 @@ class TestHaarUnitary:
         assert res.pvalue > 0.001
 
     def test_deterministic(self):
-        a = haar_unitary(3, RngStream(42, 1)).columns
-        b = haar_unitary(3, RngStream(42, 1)).columns
+        a = haar_unitary(3, RngStream(42, 1))
+        b = haar_unitary(3, RngStream(42, 1))
         assert np.array_equal(a, b)
 
 
@@ -185,7 +183,7 @@ class TestGinibre:
 class TestRandomPureState:
     def test_dim_one(self):
         psi = random_pure_state(1, RngStream(3))
-        assert abs(abs(psi.amplitudes[0]) - 1.0) <= 1e-12
+        assert abs(abs(psi[0]) - 1.0) <= 1e-12
 
     def test_flat_weight_for_dim_two(self):
         # for N=2 the weight |psi_1|^2 is uniform on [0,1]
@@ -203,8 +201,8 @@ class TestRandomPureState:
         assert abs(w.mean() - 1.0 / 3) <= 4 * se
 
     def test_deterministic(self):
-        a = random_pure_state(4, RngStream(1, 2)).amplitudes
-        b = random_pure_state(4, RngStream(1, 2)).amplitudes
+        a = random_pure_state(4, RngStream(1, 2))
+        b = random_pure_state(4, RngStream(1, 2))
         assert np.array_equal(a, b)
 
 
@@ -263,14 +261,13 @@ class TestComposition:
 class TestProjectiveUpdate:
     def test_eigenbasis_is_fixed_point(self):
         rho = validate_density(np.array([[0.75, 0.1], [0.1, 0.25]]))
-        _, basis = eig_hermitian(rho)
-        sigma = projective_update(rho, basis_projectors(basis))
+        _, u = eig_hermitian(rho)
+        sigma = projective_update(rho, u)
         assert np.max(np.abs(sigma.matrix - rho.matrix)) <= 1e-12
 
     def test_removes_coherence(self):
         rho = validate_density(0.5 * np.ones((2, 2)))
-        projs = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-        sigma = projective_update(rho, projs)
+        sigma = projective_update(rho, np.eye(2, dtype=complex))
         assert np.allclose(sigma.matrix, np.eye(2) / 2)
 
     def test_trace_preserved_and_idempotent(self):
@@ -280,23 +277,22 @@ class TestProjectiveUpdate:
         z = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
         u, r = np.linalg.qr(z)
         u = u * (np.diag(r) / np.abs(np.diag(r)))
-        projs = [np.outer(u[:, j], u[:, j].conj()) for j in range(3)]
-        once = projective_update(rho, projs)
-        twice = projective_update(once, projs)
+        once = projective_update(rho, u)
+        twice = projective_update(once, u)
         assert once.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(twice.matrix - once.matrix)) <= 1e-12
 
     def test_dephasing_identity_matches_projector_sum(self):
-        from qentropy.experiments import random_density_hs
         from qentropy.states import _dephase_stack
 
-        rhos = [random_density_hs(3, RngStream(31, i).generator()) for i in range(4)]
-        bases = [haar_unitary(3, RngStream(37, i)) for i in range(4)]
-        want = [projective_update(rho, basis_projectors(basis)).matrix
-                for rho, basis in zip(rhos, bases)]
-        got = _dephase_stack(np.stack([r.matrix for r in rhos]),
-                             np.stack([b.columns for b in bases]))
-        assert np.max(np.abs(got - np.stack(want))) <= 1e-14
+        rhos = np.stack([random_density_hs(3, RngStream(31, i).generator()).matrix
+                         for i in range(4)])
+        us = np.stack([haar_unitary(3, RngStream(37, i)) for i in range(4)])
+        want = []
+        for rho, u in zip(rhos, us):
+            projs = [np.outer(u[:, j], u[:, j].conj()) for j in range(3)]
+            want.append(sum(p @ rho @ p for p in projs))
+        assert np.max(np.abs(_dephase_stack(rhos, us) - np.stack(want))) <= 1e-14
 
     def test_dephasing_rejects_non_unitary_basis(self):
         from qentropy.states import _dephase_stack
@@ -308,4 +304,17 @@ class TestProjectiveUpdate:
     def test_incomplete_set(self):
         rho = validate_density(np.eye(2) / 2)
         with pytest.raises(IncompleteProjectorSetError):
-            projective_update(rho, [np.diag([1.0, 0.0]).astype(complex)])
+            projective_update(rho, np.diag([1.0, 0.0]).astype(complex))
+
+    def test_oblique_basis_rejected(self):
+        # columns (1, 0) and (1, 1)/sqrt(2) span C^2 but are not orthogonal:
+        # their projectors would be an oblique, not a projective, measurement
+        rho = validate_density(np.diag([0.7, 0.3]))
+        with pytest.raises(IncompleteProjectorSetError):
+            projective_update(rho, np.array([[1.0, 1.0], [0.0, 1.0]]) / [1.0, np.sqrt(2)])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,)])
+    def test_basis_of_wrong_shape(self, shape):
+        rho = validate_density(np.eye(2) / 2)
+        with pytest.raises(DimensionMismatchError):
+            projective_update(rho, np.ones(shape, dtype=complex))
