@@ -191,13 +191,17 @@ class TestMcCommand:
         z = float(out.splitlines()[-1].split("=")[1])
         assert abs(z) <= 4
 
-    @pytest.mark.parametrize("spectrum,mode", [("0.5 0.5", "sphere"), ("1", "basis")])
-    def test_z_not_available_for_rounding_level_spread(self, capsys, spectrum_file,
-                                                       spectrum, mode):
-        # every sample is ln 2 (I/2) or 0 (N = 1) in exact arithmetic; the
-        # spread is rounding
-        code, out, _ = run(capsys, "mc", "--spectrum", spectrum_file(spectrum),
-                           "--samples", "1000", "--mode", mode)
+    def test_z_not_available_for_rounding_level_spread(self, capsys, spectrum_file):
+        # every sample is ln 2 in exact arithmetic; the spread is rounding
+        code, out, _ = run(capsys, "mc", "--spectrum", spectrum_file("0.5 0.5"),
+                           "--samples", "1000")
+        assert code == 0
+        assert out.splitlines()[-1] == "z        = n/a"
+
+    def test_z_not_available_for_pure_state_in_basis_mode(self, capsys, spectrum_file):
+        # every sample is 0 in exact arithmetic; the spread is rounding
+        code, out, _ = run(capsys, "mc", "--spectrum", spectrum_file("1"),
+                           "--samples", "1000", "--mode", "basis")
         assert code == 0
         assert out.splitlines()[-1] == "z        = n/a"
 
