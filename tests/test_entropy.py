@@ -155,6 +155,13 @@ class TestConditionalEntropy:
             conditional_entropy(validate_density(np.eye(2) / 2),
                                 np.eye(3, dtype=complex))
 
+    def test_nested_list_basis(self):
+        rho = validate_density(np.diag([1.0, 0.0]))
+        h = [[2**-0.5, 2**-0.5], [2**-0.5, -2**-0.5]]
+        assert conditional_entropy(rho, h) == pytest.approx(math.log(2), abs=1e-12)
+        with pytest.raises(DimensionMismatchError):
+            conditional_entropy(rho, [[1, 0, 0], [0, 1, 0]])
+
 
 class TestMinimumUncertainty:
     def test_n1_empty_sum(self):
@@ -252,6 +259,17 @@ class TestExcessAccuracy:
         for _ in range(2):
             self.assert_matches_table(gen.dirichlet(np.full(n, alpha)))
 
+    # families held out when the 60-node rule was chosen; at N = 64 a
+    # Dirichlet(0.02) draw has eigenvalues so close in absolute terms that
+    # the table needs thousands of digits (9 s), so that one stops at 32
+    @pytest.mark.parametrize("alpha,n", [
+        (alpha, n) for alpha in [0.02, 0.3, 30.0] for n in [3, 8, 16, 32, 64]
+        if (alpha, n) != (0.02, 64)])
+    def test_dirichlet_held_out(self, alpha, n):
+        gen = RngStream(79, n).generator()
+        for _ in range(2):
+            self.assert_matches_table(gen.dirichlet(np.full(n, alpha)))
+
     @pytest.mark.parametrize("n", [5, 12, 16, 20])
     def test_near_uniform(self, n):
         self.assert_matches_table(1 + 0.01 * np.arange(n))
@@ -263,13 +281,41 @@ class TestExcessAccuracy:
             v = gen.dirichlet(np.ones(6))
             self.assert_matches_table(np.append(v, v[2] * (1 + gap)))
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-8])
+    def test_tight_gaps_at_n16(self, gap):
+        # eight pairs, each split by a relative gap
+        gen = RngStream(71).generator()
+        for _ in range(2):
+            v = gen.dirichlet(np.ones(8))
+            self.assert_matches_table(np.concatenate([v, v * (1 + gap)]))
+
+    @pytest.mark.parametrize("exponent", [5, 10, 20, 50, 100])
+    def test_two_state_tiny_weight(self, exponent):
+        spec = spectrum_from_values([1.0 - 10.0**-exponent, 10.0**-exponent])
+        want = two_state_excess(*spec.values)
+        assert abs(excess_entropy(spec) - want) <= self.TOL
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    def test_flat_dirichlet_large_n_matches_240_node_rule(self, n):
+        # too large for the table: the reference is the uniform 240-node
+        # rule in v = ln t on [-40, 36] that S_F used before the sinh map
+        v = np.linspace(-40.0, 36.0, 240)
+        t = np.exp(v)
+        w = t * (v[1] - v[0])
+        w[[0, -1]] *= 0.5
+        a = -np.log1p(1.0 / t)
+        spec = spectrum_from_values(RngStream(73, n).generator().dirichlet(np.ones(n)))
+        big_l = np.log1p(spec.values / t[:, None]).sum(axis=1)
+        want = np.exp(a) * -np.expm1(-(big_l + a)) @ w
+        assert abs(excess_entropy(spec) - want) <= self.TOL
+
     def test_tiny_eigenvalues(self):
         gen = RngStream(61).generator()
         for _ in range(5):
             v = gen.dirichlet(np.ones(5))
             self.assert_matches_table(np.append(v, [1e-300, 1e-200, 1e-30]))
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 20, 100, 1000, 10_000])
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 100, 1000, 10_000, 100_000])
     def test_uniform_mixture(self, n):
         spec = spectrum_from_values(np.full(n, 1.0 / n))
         assert abs(excess_entropy(spec) - uniform_mixture_excess(n)) <= self.TOL

@@ -313,6 +313,13 @@ class TestProjectiveUpdate:
         with pytest.raises(IncompleteProjectorSetError):
             projective_update(rho, np.array([[1.0, 1.0], [0.0, 1.0]]) / [1.0, np.sqrt(2)])
 
+    def test_nested_list_basis(self):
+        rho = validate_density(0.5 * np.ones((2, 2)))
+        sigma = projective_update(rho, [[1, 0], [0, 1]])
+        assert np.allclose(sigma.matrix, np.eye(2) / 2)
+        with pytest.raises(DimensionMismatchError):
+            projective_update(rho, [[1, 0, 0], [0, 1, 0]])
+
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,)])
     def test_basis_of_wrong_shape(self, shape):
         rho = validate_density(np.eye(2) / 2)
