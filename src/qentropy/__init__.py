@@ -41,8 +41,6 @@ from .states import (
     haar_unitary,
     partial_trace,
     projective_update,
-    pure_density,
-    random_pure_state,
     spectrum_from_values,
     tensor,
     validate_density,

@@ -102,7 +102,7 @@ def _out_stream(args):
 def cmd_entropy(args) -> int:
     _require_at_least("--precision", args.precision, 0)
     spec = _load_spectrum(args)
-    report = absolute_entropy(spec, spec.dim)
+    report = absolute_entropy(spec)
     unit = "bits" if args.bits else "nats"
     if args.format == "csv":
         print("dim,s_h,s0,s_f,s_total,unit")
@@ -124,7 +124,7 @@ def cmd_mc(args) -> int:
     seed = _resolve_seed(args)
     est = mc_entropy_estimate(spec, args.samples, RngStream(seed), mode=args.mode,
                               workers=args.workers)
-    closed = absolute_entropy(spec, spec.dim).s_total
+    closed = absolute_entropy(spec).s_total
     if est.stderr > _Z_MIN_RELATIVE_STDERR * max(abs(est.mean), 1.0):
         z = f"{(est.mean - closed) / est.stderr:.4f}"
     else:
@@ -142,7 +142,7 @@ def cmd_mc(args) -> int:
 def cmd_pdensity(args) -> int:
     _require_at_least("--grid", args.grid, 1)
     spec = _load_spectrum(args)
-    curve = density_curve(spec, spec.dim, args.grid)
+    curve = density_curve(spec, args.grid)
     with _out_stream(args) as out:
         out.write("s,p\n")
         out.writelines(f"{s:.12g},{p:.12g}\n" for s, p in

@@ -153,13 +153,12 @@ class EntropyReport:
     s_total: float
 
 
-def absolute_entropy(spectrum: Spectrum, dim: int) -> EntropyReport:
-    """Basis-averaged entropy s0(N) + F and its components."""
-    if spectrum.dim != dim:
-        raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
-    s0 = s0_exact(dim)
+def absolute_entropy(spectrum: Spectrum) -> EntropyReport:
+    """Basis-averaged entropy s0(N) + F and its components, N = spectrum.dim
+    (zeros included)."""
+    s0 = s0_exact(spectrum.dim)
     s_f = excess_entropy(spectrum)
-    return EntropyReport(dim=dim, s_h=shannon(spectrum.values), s0=s0,
+    return EntropyReport(dim=spectrum.dim, s_h=shannon(spectrum.values), s0=s0,
                          s_f=s_f, s_total=s0 + s_f)
 
 
@@ -193,34 +192,33 @@ def _bspline(t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_point_mass(t: np.ndarray, dim: int) -> bool:
+def _is_point_mass(t: np.ndarray) -> bool:
     """Whether the ascending eigenvalues t are all equal to rounding, so
     that the outcome weight is 1/N in every basis (the state is I/N)."""
-    return t[-1] - t[0] <= _POINT_MASS_ULPS * dim * np.spacing(t[-1])
+    return t[-1] - t[0] <= _POINT_MASS_ULPS * len(t) * np.spacing(t[-1])
 
 
-def _density(spectrum: Spectrum, dim: int, s: np.ndarray) -> np.ndarray:
+def _density(spectrum: Spectrum, s: np.ndarray) -> np.ndarray:
     """P(s) on an array of points, block by block.
 
     P = (N-1)/(p_max - p_min) times the B-spline of degree N-2 with its
     knots at the eigenvalues (Curry & Schoenberg 1966).
     """
-    if spectrum.dim != dim:
-        raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
+    dim = spectrum.dim
     if dim < 2:
         raise DimensionMismatchError("density requires dim >= 2")
     outside = s[~((s >= 0.0) & (s <= 1.0))]
     if outside.size:
         raise InvalidDistributionError(f"s = {outside[0]:g} outside [0, 1]")
     t = np.sort(spectrum.values)
-    if _is_point_mass(t, dim):
+    if _is_point_mass(t):
         raise DegenerateSpectrumError(
             f"all eigenvalues equal {t[-1]:g} to rounding, so s = {t[-1]:g} for "
             f"every state: P(s) is a point mass and has no density")
     return (dim - 1) / (t[-1] - t[0]) * _bspline(t, s)
 
 
-def density_p(spectrum: Spectrum, dim: int, s: float) -> float:
+def density_p(spectrum: Spectrum, s: float) -> float:
     """Probability density of the outcome weight s = sum p_r |psi_r|^2.
 
     The weights |psi_r|^2 of a Haar-random pure state are uniform on the
@@ -232,7 +230,7 @@ def density_p(spectrum: Spectrum, dim: int, s: float) -> float:
     mass, raises DegenerateSpectrumError.
     The one-point case of density_curve, with the same float at the same s.
     """
-    return float(_density(spectrum, dim, np.array([s], dtype=float))[0])
+    return float(_density(spectrum, np.array([s], dtype=float))[0])
 
 
 def kernel_integral(p: float, dim: int) -> float:
@@ -269,13 +267,16 @@ def entropy_by_quadrature(spectrum: Spectrum, dim: int) -> float:
     times its right end, which resolves the logarithm at s = 0.  I/N
     (eigenvalues all equal to rounding), whose P is a point mass at 1/N,
     gives ln N.
+
+    `dim` must equal spectrum.dim; it stays in the signature because the
+    benchmark (bench/run.py) calls this function with two arguments.
     """
     if spectrum.dim != dim:
         raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
     if dim == 1:
         return 0.0
     t = np.sort(spectrum.values)
-    if _is_point_mass(t, dim):
+    if _is_point_mass(t):
         return math.log(dim)
     # a tie is an interval of width 0, which gets no panel
     edges = np.maximum(t[1:, None] * _PANEL_EDGES, t[:-1, None])
@@ -292,7 +293,7 @@ def entropy_by_quadrature(spectrum: Spectrum, dim: int) -> float:
     return float(-dim * (mass @ (s * np.log(s))) / mass.sum())
 
 
-def identity_residuals(spectrum: Spectrum, dim: int, s: float = 0.5):
+def identity_residuals(spectrum: Spectrum, s: float = 0.5):
     """Residuals of the two partial-fraction identities behind the density.
 
     Returns (|sum_r p_r^N / gap product - 1|, [moment residuals for
@@ -305,8 +306,6 @@ def identity_residuals(spectrum: Spectrum, dim: int, s: float = 0.5):
     # imported here, so that only this paper check pays for loading it
     from fractions import Fraction
 
-    if spectrum.dim != dim:
-        raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
     nodes = np.sort(spectrum.values)
     ties = nodes[1:][nodes[1:] == nodes[:-1]]
     if ties.size:
@@ -315,9 +314,9 @@ def identity_residuals(spectrum: Spectrum, dim: int, s: float = 0.5):
     ps = [Fraction(float(z)) for z in nodes]
     sp = Fraction(float(s))
     gaps = [math.prod(p - q for q in ps if q != p) for p in ps]
-    eid1 = abs(sum(p**dim / g for p, g in zip(ps, gaps)) - 1)
+    eid1 = abs(sum(p**spectrum.dim / g for p, g in zip(ps, gaps)) - 1)
     moments = [abs(sum((sp - p)**n / g for p, g in zip(ps, gaps)))
-               for n in range(0, dim - 1)]
+               for n in range(0, spectrum.dim - 1)]
     return float(eid1), [float(m) for m in moments]
 
 
@@ -325,16 +324,15 @@ def identity_residuals(spectrum: Spectrum, dim: int, s: float = 0.5):
 class DensityCurve:
     """The outcome-weight density P(s) on a grid."""
 
-    spectrum: Spectrum
     grid: np.ndarray
     densities: np.ndarray
 
 
-def density_curve(spectrum: Spectrum, dim: int, points: int) -> DensityCurve:
+def density_curve(spectrum: Spectrum, points: int) -> DensityCurve:
     """Evaluate the outcome-weight density on a uniform grid over [0, 1].
 
     The values, checks and errors are those of density_p at each grid
     point; the grid is evaluated in blocks, so memory stays flat.
     """
     grid = np.linspace(0.0, 1.0, points)
-    return DensityCurve(spectrum, grid, _density(spectrum, dim, grid))
+    return DensityCurve(grid, _density(spectrum, grid))

@@ -34,7 +34,6 @@ from .states import (
     _product_spectra,
     _spectra,
     _validated_stack,
-    spectrum_from_values,
 )
 
 MARGIN_TOL = 1e-9
@@ -93,22 +92,15 @@ class InequalityReport:
     worst_margin: float = math.inf
     certificates: list = field(default_factory=list)
 
-    def record(self, margin: float, cert: Certificate | None = None) -> bool:
-        """Count one trial; True if its margin is a violation.  The
-        certificate, if given, is kept only for a violation."""
+    def record(self, margin: float) -> bool:
+        """Count one trial; True if its margin is a violation, whose
+        certificate the caller then appends."""
         self.trials += 1
         self.worst_margin = min(self.worst_margin, margin)
         if margin >= -MARGIN_TOL:
             return False
         self.violations += 1
-        if cert is not None:
-            self.certificates.append(cert)
         return True
-
-
-def random_spectrum(dim: int, gen: np.random.Generator):
-    """Flat Dirichlet draw over the probability simplex, sorted descending."""
-    return spectrum_from_values(gen.dirichlet(np.ones(dim)))
 
 
 def _hs_states(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,10 +118,6 @@ def random_density_hs(dim: int, gen: np.random.Generator) -> DensityMatrix:
 
 def _substream(tag: int, trial: int) -> int:
     return tag * _TAG_STRIDE + trial
-
-
-def _trial_gen(rng: RngStream, tag: int, trial: int) -> np.random.Generator:
-    return rng.child(_substream(tag, trial))
 
 
 def _blocks(first: int, count: int, dim: int):
@@ -250,7 +238,7 @@ def _run(runs, count: int, rng: RngStream):
     """For each (report, tag, first, dims) of runs, in turn, record trials
     first .. first + count - 1 of that kind into report.
 
-    All trials draw from one generator, re-keyed to _trial_gen's substream
+    All trials draw from one generator, re-keyed to the substream
     of each trial in the order the trial functions take them.
     """
     gens = rng.children(_substream(tag, t) for _, tag, first, _ in runs
@@ -323,7 +311,7 @@ def reverify_certificate(cert: Certificate) -> float:
     trial_fn = _TRIALS.get((cert.inequality_id, cert.tag))
     if trial_fn is None:
         raise ValueError(f"unknown certificate kind {cert.inequality_id!r}")
-    gen = _trial_gen(RngStream(cert.seed, cert.stream_id), cert.tag, cert.trial)
+    gen = RngStream(cert.seed, cert.stream_id).child(_substream(cert.tag, cert.trial))
     lhs, rhs = trial_fn([gen], dims)
     return float(rhs[0] - lhs[0])
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InsufficientSamplesError
+from .errors import InsufficientSamplesError
 from .rng import RngStream
 from .states import Spectrum, _haar_from_normals
 
@@ -121,15 +121,13 @@ def mc_entropy_estimate(spectrum: Spectrum, samples: int, rng: RngStream,
     return McEstimate(mean=mean, stderr=std / math.sqrt(n), samples=n, seed=rng.seed)
 
 
-def mc_density_histogram(spectrum: Spectrum, dim: int, samples: int, bins: int,
-                         rng: RngStream, workers: int = 1) -> Histogram:
+def mc_density_histogram(spectrum: Spectrum, samples: int, bins: int, rng: RngStream,
+                         workers: int = 1) -> Histogram:
     """Empirical histogram of the outcome weight s over random pure states."""
     if samples < 10_000:
         raise InsufficientSamplesError(f"need >= 10^4 samples, got {samples}")
     if bins < 10:
         raise InsufficientSamplesError(f"need >= 10 bins, got {bins}")
-    if spectrum.dim != dim:
-        raise DimensionMismatchError(f"spectrum has {spectrum.dim} entries, expected {dim}")
     p = spectrum.values
     edges = np.linspace(0.0, 1.0, bins + 1)
 

@@ -147,11 +147,6 @@ def validate_density(raw) -> DensityMatrix:
     return DensityMatrix(m[0], Spectrum(p[0]))
 
 
-def pure_density(psi: np.ndarray) -> DensityMatrix:
-    """|psi><psi| for a unit vector psi, as a validated DensityMatrix."""
-    return validate_density(np.outer(psi, psi.conj()))
-
-
 def eig_hermitian(rho: DensityMatrix) -> tuple[Spectrum, np.ndarray]:
     """rho's spectrum and a unitary whose columns are an eigenbasis, in
     descending eigenvalue order."""
@@ -199,13 +194,6 @@ def _haar_from_normals(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
-
-
-def random_pure_state(dim: int, rng: RngStream) -> np.ndarray:
-    """Unit vector drawn uniformly from the sphere of C^dim (2*dim real Gaussians)."""
-    gen = rng.generator()
-    z = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-    return z / np.linalg.norm(z)
 
 
 def _product_spectra(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 S_F is also minus the (n-1)-order Newton divided difference of
 g(x) = x^n ln x over the n nonzero eigenvalues (Jozsa, Robb & Wootters,
-PRA 49, 668, 1994).  The table here is evaluated in mpmath at a digit
-count chosen from the eigenvalue gaps; repeated eigenvalues use confluent
-(derivative-seeded) entries, so ties are exact limits.  It shares no
-formula with the subentropy integral of `qentropy.excess_entropy`.
+PRA 49, 668, 1994).  The table here is evaluated in mpmath at 50, 100,
+200, ... digits until two successive results agree to 1e-30 relative;
+repeated eigenvalues use confluent (derivative-seeded) entries, so ties
+are exact limits.  It shares no formula with the subentropy integral of
+`qentropy.excess_entropy`.
 """
 
 import math
@@ -14,6 +15,8 @@ import mpmath
 import numpy as np
 
 MIN_DPS = 50
+MAX_DPS = 8192
+AGREEMENT = 1e-30
 
 
 def two_state_excess(p1: float, p2: float) -> float:
@@ -30,37 +33,41 @@ def scaled_derivative(x, order: int, n: int):
     return binom * x ** (n - order) * (mpmath.log(x) + harm)
 
 
-def table_dps(nodes: np.ndarray, n: int) -> int:
-    """Working precision for the table.
-
-    Each table level subtracts near-equal entries and divides by a node
-    span, amplifying absolute roundoff by about 2/span; spans at level j
-    are at least j times the smallest distinct adjacent gap.  Confluent
-    (derivative-seeded) entries do not amplify, so the estimate from the
-    distinct gaps alone is conservative.
-    """
-    distinct_gaps = np.diff(np.unique(nodes))
-    if len(distinct_gaps) == 0:
-        return MIN_DPS
-    delta = float(np.min(distinct_gaps))
-    amp = sum(max(0.0, math.log10(2.0 / (j * delta))) for j in range(1, n))
-    return max(MIN_DPS, 25 + math.ceil(amp))
+def _table(zs: list, n: int):
+    """DD[x^n ln x] over the descending mpf nodes zs, at the working precision."""
+    col = [mpmath.mpf(0) if z == 0 else z**n * mpmath.log(z) for z in zs]
+    for order in range(1, n):
+        nxt = []
+        for i in range(n - order):
+            if zs[i] == zs[i + order]:
+                nxt.append(scaled_derivative(zs[i], order, n))
+            else:
+                nxt.append((col[i + 1] - col[i]) / (zs[i + order] - zs[i]))
+        col = nxt
+    return col[0]
 
 
 def divided_difference_mp(nodes: np.ndarray, n: int) -> float:
-    """DD[x^n ln x] over descending nodes, equal nodes adjacent."""
-    with mpmath.workdps(table_dps(nodes, n)):
-        zs = [mpmath.mpf(repr(float(z))) for z in nodes]
-        col = [mpmath.mpf(0) if z == 0 else z**n * mpmath.log(z) for z in zs]
-        for order in range(1, n):
-            nxt = []
-            for i in range(n - order):
-                if zs[i] == zs[i + order]:
-                    nxt.append(scaled_derivative(zs[i], order, n))
-                else:
-                    nxt.append((col[i + 1] - col[i]) / (zs[i + order] - zs[i]))
-            col = nxt
-        return float(col[0])
+    """DD[x^n ln x] over descending nodes, equal nodes adjacent.
+
+    Each table level subtracts near-equal entries, so the digits lost
+    depend on the spectrum.  The table is evaluated at MIN_DPS digits and
+    again at twice as many until two successive values agree to
+    AGREEMENT relative; not agreeing by MAX_DPS digits fails loudly.
+    """
+    # the floats' exact binary values: mpmath's default precision is 53 bits
+    zs = [mpmath.mpf(float(z)) for z in nodes]
+    dps = MIN_DPS
+    with mpmath.workdps(dps):
+        previous = _table(zs, n)
+    while True:
+        assert dps < MAX_DPS, f"divided-difference table unsettled at {dps} digits"
+        dps = min(2 * dps, MAX_DPS)
+        with mpmath.workdps(dps):
+            value = _table(zs, n)
+            if abs(value - previous) <= AGREEMENT * abs(value):
+                return float(value)
+        previous = value
 
 
 def excess_by_table(values) -> float:

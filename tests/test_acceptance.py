@@ -75,7 +75,7 @@ def test_criterion_3_oracle_agreement():
         for t in range(20):
             spec = spectrum_from_values(gen.dirichlet(np.ones(dim)))
             est = mc_entropy_estimate(spec, 200_000, RngStream(303, i * 20 + t))
-            closed = absolute_entropy(spec, dim).s_total
+            closed = absolute_entropy(spec).s_total
             if abs(est.mean - closed) <= 4 * est.stderr:
                 hits += 1
         detail.append(f"N={dim}: {hits}/20")
@@ -94,7 +94,7 @@ def test_criterion_4_path_equivalence():
             values = np.append(values, [values[0], 0.0])
         spec = spectrum_from_values(values / values.sum())
         dim = spec.dim
-        diff = abs(entropy_by_quadrature(spec, dim) - absolute_entropy(spec, dim).s_total)
+        diff = abs(entropy_by_quadrature(spec, dim) - absolute_entropy(spec).s_total)
         worst = max(worst, diff)
     report(4, worst <= 1e-12, f"closed form vs quadrature on 100 spectra (25 with a tie and "
                               f"a zero), worst = {worst:.2e}", time.perf_counter() - t0, 10)
@@ -107,7 +107,7 @@ def test_criterion_5_appendix_identities():
     for _ in range(100):
         dim = int(gen.integers(2, 11))
         spec = separated_spectrum(dim, gen)
-        eid1, moments = identity_residuals(spec, dim)
+        eid1, moments = identity_residuals(spec)
         worst_eid1 = max(worst_eid1, eid1)
         if moments:
             worst_mom = max(worst_mom, max(moments))
@@ -124,14 +124,14 @@ def test_criterion_6_universal_bound():
     for _ in range(10_000):
         dim = int(gen.integers(2, 17))
         spec = spectrum_from_values(gen.dirichlet(np.ones(dim)))
-        f = absolute_entropy(spec, dim).s_f
+        f = absolute_entropy(spec).s_f
         ok = ok and f < 0.4227843351
         max_f = max(max_f, f)
     # the approach to the bound: near-uniform mixtures of many states
     near_uniform_max = 0.0
     for _ in range(10):
         spec = spectrum_from_values(gen.dirichlet(np.full(50, 5000.0)))
-        f = absolute_entropy(spec, 50).s_f
+        f = absolute_entropy(spec).s_f
         ok = ok and f < 0.4227843351
         near_uniform_max = max(near_uniform_max, f)
     ok = ok and near_uniform_max > 0.40

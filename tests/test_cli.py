@@ -295,7 +295,7 @@ class TestPdensityCommand:
         assert code == 0
         table = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
         s, p = table[:, 0], table[:, 1]
-        hist = mc_density_histogram(spectrum_from_values([0.4, 0.4, 0.2]), 3, 200_000, 20,
+        hist = mc_density_histogram(spectrum_from_values([0.4, 0.4, 0.2]), 200_000, 20,
                                     RngStream(173))
         widths = np.diff(hist.edges)
         se = np.sqrt(hist.counts.clip(min=1)) / (hist.samples * widths)
@@ -406,8 +406,9 @@ class TestExperimentCommands:
         def synthetic(inequality_id):
             rep = experiments.InequalityReport(inequality_id)
             margin = -1.0 if inequality_id == violated else 0.5
-            rep.record(margin, experiments.Certificate(
-                inequality_id, 1, 0, 5, 0, (2, 2), lhs=0.0, rhs=margin, margin=margin))
+            if rep.record(margin):
+                rep.certificates.append(experiments.Certificate(
+                    inequality_id, 1, 0, 5, 0, (2, 2), lhs=0.0, rhs=margin, margin=margin))
             return rep
 
         monkeypatch.setattr(experiments, "inequality_suite", lambda trials, dims, rng: [

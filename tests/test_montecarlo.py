@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qentropy import (
-    DimensionMismatchError,
     InsufficientSamplesError,
     RngStream,
     absolute_entropy,
@@ -35,7 +34,7 @@ class TestEntropyEstimate:
     def test_matches_closed_form(self):
         spec = spectrum_from_values([0.75, 0.25])
         est = mc_entropy_estimate(diag_spectrum([0.75, 0.25]), 100_000, RngStream(107))
-        closed = absolute_entropy(spec, 2).s_total
+        closed = absolute_entropy(spec).s_total
         assert abs(est.mean - closed) <= 4 * est.stderr
 
     def test_mode_agreement(self):
@@ -93,26 +92,26 @@ class TestEntropyEstimate:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 16 * _BASIS_CHUNK_ENTRIES
-        assert abs(est.mean - absolute_entropy(spec, n).s_total) <= 4 * est.stderr
+        assert abs(est.mean - absolute_entropy(spec).s_total) <= 4 * est.stderr
 
 
 class TestDensityHistogram:
     def test_pure_state_flat(self):
         spec = spectrum_from_values([1.0, 0.0])
-        hist = mc_density_histogram(spec, 2, 100_000, 20, RngStream(151))
+        hist = mc_density_histogram(spec, 100_000, 20, RngStream(151))
         widths = np.diff(hist.edges)
         se = np.sqrt(hist.counts.clip(min=1)) / (hist.samples * widths)
         assert np.all(np.abs(hist.densities - 1.0) <= 5 * se)
 
     def test_no_mass_above_top_eigenvalue(self):
         spec = spectrum_from_values([0.7, 0.3])
-        hist = mc_density_histogram(spec, 2, 50_000, 20, RngStream(157))
+        hist = mc_density_histogram(spec, 50_000, 20, RngStream(157))
         above = hist.edges[:-1] >= 0.7
         assert hist.counts[above].sum() == 0
 
     def test_matches_analytic_density(self):
         spec = spectrum_from_values([0.5, 0.3, 0.2])
-        hist = mc_density_histogram(spec, 3, 1_000_000, 20, RngStream(163))
+        hist = mc_density_histogram(spec, 1_000_000, 20, RngStream(163))
         widths = np.diff(hist.edges)
         centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
         se = np.sqrt(hist.counts.clip(min=1)) / (hist.samples * widths)
@@ -121,13 +120,13 @@ class TestDensityHistogram:
             lo, hi = c - widths[0] / 2, c + widths[0] / 2
             if hi < 0.2 or lo > 0.5 or min(abs(lo - 0.2), abs(hi - 0.5)) < widths[0]:
                 continue
-            expected = (density_p(spec, 3, lo) + density_p(spec, 3, c)
-                        + density_p(spec, 3, hi)) / 3
+            expected = (density_p(spec, lo) + density_p(spec, c)
+                        + density_p(spec, hi)) / 3
             assert abs(d - expected) <= 5 * s + 0.02
 
     def test_counts_sum_and_normalization(self):
         spec = spectrum_from_values([0.6, 0.4])
-        hist = mc_density_histogram(spec, 2, 20_000, 25, RngStream(167))
+        hist = mc_density_histogram(spec, 20_000, 25, RngStream(167))
         assert hist.counts.sum() == hist.samples
         integral = np.sum(hist.densities * np.diff(hist.edges))
         assert integral == pytest.approx(1.0, abs=1e-12)
@@ -135,11 +134,6 @@ class TestDensityHistogram:
     def test_requirements(self):
         spec = spectrum_from_values([0.6, 0.4])
         with pytest.raises(InsufficientSamplesError):
-            mc_density_histogram(spec, 2, 5_000, 20, RngStream(1))
+            mc_density_histogram(spec, 5_000, 20, RngStream(1))
         with pytest.raises(InsufficientSamplesError):
-            mc_density_histogram(spec, 2, 20_000, 5, RngStream(1))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            mc_density_histogram(spectrum_from_values([0.6, 0.4]), 3, 20_000, 20,
-                                 RngStream(1))
+            mc_density_histogram(spec, 20_000, 5, RngStream(1))

@@ -59,7 +59,7 @@ class TestDensityProperties:
     def test_nonnegative_and_zero_outside_the_support(self, raw):
         spec = spectrum_from_values(normalised(raw))
         assume(spec.values[0] > spec.values[-1])
-        curve = density_curve(spec, spec.dim, GRID)
+        curve = density_curve(spec, GRID)
         assert np.all(curve.densities >= 0.0)
         outside = (curve.grid < spec.values[-1]) | (curve.grid > spec.values[0])
         assert np.all(curve.densities[outside] == 0.0)
@@ -70,7 +70,7 @@ class TestDensityProperties:
         spec = spectrum_from_values(normalised(raw))
         p_max, p_min, dim = spec.values[0], spec.values[-1], spec.dim
         assume(p_max > p_min)
-        curve = density_curve(spec, dim, GRID)
+        curve = density_curve(spec, GRID)
         h = curve.grid[1]
         # The trapezoid error is at most h times the variation of the
         # integrand.  P is log-concave (a linear image of the uniform
@@ -90,15 +90,15 @@ class TestDensityProperties:
         assume(spec.values[0] > spec.values[-1])
         shuffled = list(normalised(raw))
         random.shuffle(shuffled)
-        a = density_curve(spec, spec.dim, 1001).densities
-        b = density_curve(spectrum_from_values(shuffled), spec.dim, 1001).densities
+        a = density_curve(spec, 1001).densities
+        b = density_curve(spectrum_from_values(shuffled), 1001).densities
         assert a.tolist() == b.tolist()
 
     @PROPERTY
     @given(raw_spectra())
     def test_quadrature_matches_the_subentropy_route(self, raw):
         spec = spectrum_from_values(normalised(raw))
-        total = absolute_entropy(spec, spec.dim).s_total
+        total = absolute_entropy(spec).s_total
         assert abs(entropy_by_quadrature(spec, spec.dim) - total) <= 1e-12
 
 

@@ -14,13 +14,12 @@ from qentropy import (
     haar_unitary,
     partial_trace,
     projective_update,
-    pure_density,
-    random_pure_state,
     spectrum_from_values,
     tensor,
     validate_density,
 )
 from qentropy.experiments import random_density_hs
+from qentropy.montecarlo import _sphere_weights
 
 
 def two_level_eigs(a, d, b):
@@ -181,29 +180,19 @@ class TestGinibre:
 
 
 class TestRandomPureState:
-    def test_dim_one(self):
-        psi = random_pure_state(1, RngStream(3))
-        assert abs(abs(psi[0]) - 1.0) <= 1e-12
+    """The weight |psi_1|^2 of the random pure states of the sphere-mode
+    Monte Carlo: montecarlo._sphere_weights with p = (1, 0, ..., 0)."""
 
     def test_flat_weight_for_dim_two(self):
         # for N=2 the weight |psi_1|^2 is uniform on [0,1]
-        gen = RngStream(13).generator()
-        z = gen.standard_normal((100_000, 2)) + 1j * gen.standard_normal((100_000, 2))
-        w = np.abs(z[:, 0]) ** 2 / np.sum(np.abs(z) ** 2, axis=1)
+        w = _sphere_weights(np.array([1.0, 0.0]), 100_000, RngStream(13).generator())
         res = scipy.stats.kstest(w, "uniform")
         assert res.pvalue > 0.001
 
     def test_mean_weight_dim_three(self):
-        gen = RngStream(17).generator()
-        z = gen.standard_normal((100_000, 3)) + 1j * gen.standard_normal((100_000, 3))
-        w = np.abs(z[:, 0]) ** 2 / np.sum(np.abs(z) ** 2, axis=1)
+        w = _sphere_weights(np.array([1.0, 0.0, 0.0]), 100_000, RngStream(17).generator())
         se = w.std(ddof=1) / np.sqrt(len(w))
         assert abs(w.mean() - 1.0 / 3) <= 4 * se
-
-    def test_deterministic(self):
-        a = random_pure_state(4, RngStream(1, 2))
-        b = random_pure_state(4, RngStream(1, 2))
-        assert np.array_equal(a, b)
 
 
 class TestComposition:
