@@ -14,13 +14,13 @@ import numpy as np
 
 from .errors import InsufficientSamplesError
 from .rng import RngStream
-from .states import Spectrum, _haar_from_normals
+from .states import Spectrum
 
 CHUNK_SAMPLES = 25_000
-# A basis-mode chunk draws a (count, N, N) Ginibre stack; it holds at most
-# this many matrix entries, so memory stays flat in N.  Chunks at N <= 6
-# keep CHUNK_SAMPLES.
-_BASIS_CHUNK_ENTRIES = 1 << 20
+# A chunk draws at most this many entries: N per sphere sample, N^2 per
+# basis sample (a Ginibre matrix), so memory stays flat in N.  Chunks at
+# N <= 41 (sphere) and N <= 6 (basis) keep CHUNK_SAMPLES.
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,12 @@ class Histogram:
 
 def _f(s: np.ndarray) -> np.ndarray:
     """-s ln s elementwise, with f(0) = 0."""
-    out = np.zeros_like(s)
-    mask = s > 0.0
-    out[mask] = -s[mask] * np.log(s[mask])
-    return out
+    return -s * np.log(s, out=np.zeros_like(s), where=s > 0.0)
+
+
+def _chunk_size(entries_per_sample: int) -> int:
+    """Samples per chunk, so that a chunk draws at most _CHUNK_ENTRIES entries."""
+    return max(1, min(CHUNK_SAMPLES, _CHUNK_ENTRIES // entries_per_sample))
 
 
 def _run_chunks(samples: int, rng: RngStream, workers: int, fn,
@@ -64,11 +66,14 @@ def _run_chunks(samples: int, rng: RngStream, workers: int, fn,
 
 
 def _sphere_weights(p: np.ndarray, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Outcome weights s = sum p_r |psi_r|^2 for `count` random pure states."""
-    n = len(p)
-    z = gen.standard_normal((count, n)) + 1j * gen.standard_normal((count, n))
-    mag = np.abs(z) ** 2
-    return (mag @ p) / mag.sum(axis=1)
+    """Outcome weights s = sum p_r |psi_r|^2 for `count` random pure states.
+
+    The |psi_r|^2 of a Haar vector are flat Dirichlet.  They are drawn as
+    normalised standard exponentials: |z_r|^2 of a standard complex
+    Gaussian z_r is exponential, and the normalisation cancels its scale.
+    """
+    w = gen.standard_exponential((count, len(p)))
+    return (w @ p) / w.sum(axis=1)
 
 
 def _chunk_values(p: np.ndarray, count: int, gen: np.random.Generator, mode: str) -> np.ndarray:
@@ -76,9 +81,13 @@ def _chunk_values(p: np.ndarray, count: int, gen: np.random.Generator, mode: str
     if mode == "sphere":
         return n * _f(_sphere_weights(p, count, gen))
     if mode == "basis":
-        z = (gen.standard_normal((count, n, n))
-             + 1j * gen.standard_normal((count, n, n))) / np.sqrt(2)
-        probs = np.einsum("r,kra->ka", p, np.abs(_haar_from_normals(z)) ** 2)
+        # |U_ra|^2 of a Haar unitary U.  QR of a Ginibre matrix gives U up to
+        # a phase per column, which |U_ra|^2 does not see, and QR does not see
+        # the scale of the matrix: so neither the phase correction nor the
+        # 1/sqrt(2) is needed.
+        z = gen.standard_normal((count, n, n, 2)).view(np.complex128)[..., 0]
+        q = np.linalg.qr(z)[0]
+        probs = np.einsum("r,kra->ka", p, q.real ** 2 + q.imag ** 2)
         return _f(probs).sum(axis=1)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -113,9 +122,7 @@ def mc_entropy_estimate(spectrum: Spectrum, samples: int, rng: RngStream,
         mean = vals.mean()
         return count, float(mean), float(np.sum((vals - mean) ** 2))
 
-    chunk = CHUNK_SAMPLES
-    if mode == "basis":
-        chunk = max(1, min(chunk, _BASIS_CHUNK_ENTRIES // len(p) ** 2))
+    chunk = _chunk_size(len(p) ** 2 if mode == "basis" else len(p))
     n, mean, m2 = _pool(_run_chunks(samples, rng, workers, chunk_stats, chunk))
     std = math.sqrt(m2 / (n - 1))
     return McEstimate(mean=mean, stderr=std / math.sqrt(n), samples=n, seed=rng.seed)
@@ -134,7 +141,8 @@ def mc_density_histogram(spectrum: Spectrum, samples: int, bins: int, rng: RngSt
     def chunk_counts(count, gen):
         return np.histogram(_sphere_weights(p, count, gen), bins=edges)[0]
 
-    counts = np.sum(_run_chunks(samples, rng, workers, chunk_counts), axis=0)
+    counts = np.sum(_run_chunks(samples, rng, workers, chunk_counts, _chunk_size(len(p))),
+                    axis=0)
     widths = np.diff(edges)
     densities = counts / (samples * widths)
     return Histogram(edges=edges, counts=counts, densities=densities, samples=samples)

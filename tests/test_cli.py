@@ -231,6 +231,15 @@ class TestMcCommand:
         _, out2, _ = run(capsys, *argv, "--workers", "2")
         assert out1 == out2
 
+    def test_workers_do_not_change_result_at_n64(self, capsys, spectrum_file):
+        # N = 64 runs sphere mode in chunks of 16384 samples: 50 000 is four
+        values = RngStream(19).generator().dirichlet(np.ones(64))
+        path = spectrum_file(" ".join(repr(float(v)) for v in values))
+        argv = ["mc", "--spectrum", path, "--samples", "50000", "--seed", "3"]
+        outs = [run(capsys, *argv, "--workers", w) for w in ("1", "2", "4")]
+        assert [code for code, _, _ in outs] == [0, 0, 0]
+        assert outs[0][1] == outs[1][1] == outs[2][1]
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, capsys, spectrum_file, workers):
         code, out, err = run(capsys, "mc", "--spectrum", spectrum_file("0.6 0.4"),

@@ -13,10 +13,19 @@ from qentropy import (
     spectrum_from_values,
     validate_density,
 )
+from qentropy.montecarlo import _CHUNK_ENTRIES, _sphere_weights
 
 
 def diag_spectrum(values):
     return validate_density(np.diag(np.asarray(values, dtype=complex))).spectrum
+
+
+def tie_and_zero(n):
+    """A random spectrum of dimension n with a tie and a zero."""
+    raw = RngStream(n).generator().random(n)
+    raw[1] = raw[0]
+    raw[-1] = 0.0
+    return spectrum_from_values(raw / raw.sum())
 
 
 class TestEntropyEstimate:
@@ -75,13 +84,34 @@ class TestEntropyEstimate:
         with pytest.raises(InsufficientSamplesError):
             mc_entropy_estimate(diag_spectrum([0.5, 0.5]), 99, RngStream(1))
 
-    def test_basis_mode_memory_flat_in_n(self):
-        # a basis-mode chunk holds at most _BASIS_CHUNK_ENTRIES matrix entries,
-        # so the peak is a few complex arrays of that size whatever N and the
-        # sample count; one 600-sample chunk at N = 64 would take 2.3 times more
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_closed_form_at_larger_n(self, n):
+        spec = tie_and_zero(n)
+        est = mc_entropy_estimate(spec, 200_000, RngStream(179))
+        assert abs(est.mean - absolute_entropy(spec).s_total) <= 4 * est.stderr
+
+    def test_sphere_mode_memory_flat_in_n(self):
+        # a sphere-mode chunk draws at most _CHUNK_ENTRIES exponentials (1024
+        # samples at N = 1024), so the peak is about one float array of that
+        # size; one 4096-sample chunk would take twice the bound
         import tracemalloc
 
-        from qentropy.montecarlo import _BASIS_CHUNK_ENTRIES
+        n = 1024
+        spec = spectrum_from_values(RngStream(7).generator().dirichlet(np.ones(n)))
+        tracemalloc.start()
+        try:
+            est = mc_entropy_estimate(spec, 4096, RngStream(11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * _CHUNK_ENTRIES
+        assert abs(est.mean - absolute_entropy(spec).s_total) <= 4 * est.stderr
+
+    def test_basis_mode_memory_flat_in_n(self):
+        # a basis-mode chunk holds at most _CHUNK_ENTRIES matrix entries, so
+        # the peak is a few complex arrays of that size whatever N and the
+        # sample count; one 600-sample chunk at N = 64 would take 2.3 times more
+        import tracemalloc
 
         n = 64
         spec = spectrum_from_values(RngStream(5).generator().dirichlet(np.ones(n)))
@@ -91,8 +121,23 @@ class TestEntropyEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 16 * _BASIS_CHUNK_ENTRIES
+        assert peak <= 5 * 16 * _CHUNK_ENTRIES
         assert abs(est.mean - absolute_entropy(spec).s_total) <= 4 * est.stderr
+
+
+class TestSphereWeights:
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_moments_match_flat_dirichlet(self, n):
+        # the weights |psi_r|^2 are flat Dirichlet, so E[s] = 1/N and
+        # Var(s) = (sum p^2 - 1/N) / (N (N + 1))
+        p = tie_and_zero(n).values
+        s = _sphere_weights(p, (1 << 21) // n, RngStream(173).generator())
+        dev = s - s.mean()
+        var = dev @ dev / (len(s) - 1)
+        mean_se = math.sqrt(var / len(s))
+        var_se = math.sqrt((np.mean(dev ** 4) - var ** 2) / len(s))
+        assert abs(s.mean() - 1 / n) <= 5 * mean_se
+        assert abs(var - (p @ p - 1 / n) / (n * (n + 1))) <= 5 * var_se
 
 
 class TestDensityHistogram:
