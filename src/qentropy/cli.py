@@ -40,6 +40,12 @@ EXIT_DEGENERATE = 5
 # would compare noise with noise.
 _Z_MIN_RELATIVE_STDERR = 1e-12
 
+# The largest state dimension a command may be asked for: a dense complex
+# matrix of dimension 8192 takes 2^30 bytes.  Checked before anything is
+# allocated, so that an absurd dimension gets a typed error, not a
+# MemoryError.
+_MAX_MATRIX_DIM = 8192
+
 
 class _CliError(Exception):
     def __init__(self, message, code):
@@ -85,6 +91,13 @@ def _load_spectrum(args) -> Spectrum:
 def _require_at_least(flag: str, value: int, low: int):
     if value < low:
         raise _CliError(f"{flag} must be at least {low}, got {value}", EXIT_PARSE)
+
+
+def _require_matrix_fits(what: str, dim: int):
+    if dim > _MAX_MATRIX_DIM:
+        raise DimensionMismatchError(
+            f"{what} {dim} is above {_MAX_MATRIX_DIM}: its dense complex matrix "
+            f"would take over 1 GiB")
 
 
 def _fmt(args, value: float) -> str:
@@ -153,6 +166,7 @@ def cmd_pdensity(args) -> int:
 def cmd_fig1(args) -> int:
     _require_at_least("--count", args.count, 0)
     _require_at_least("--max-n", args.max_n, 0)
+    _require_matrix_fits("--dim", args.dim)
     seed = _resolve_seed(args)
     curve = experiments.fig1_uniform_curve(args.max_n)
     dots = experiments.fig1_random_mixtures(args.dim, args.count, RngStream(seed))
@@ -185,12 +199,14 @@ def _parse_dims(text: str) -> list[tuple[int, int]]:
             raise _CliError(f"bad --dims value {text!r}: {exc}", EXIT_PARSE) from exc
         if n < 1 or m < 1:
             raise DimensionMismatchError(f"--dims entry {entry!r} has a dimension below 1")
+        _require_matrix_fits(f"--dims entry {entry!r}: product", n * m)
         dims.append((n, m))
     return dims
 
 
 def cmd_check(args) -> int:
     _require_at_least("--trials", args.trials, 0)
+    _require_matrix_fits("--dim", args.dim)
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
     known = {"ei1", "ei2", "ei3", "ei3a", "measurement_monotonicity"}
@@ -222,6 +238,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_random_state(args) -> int:
+    _require_matrix_fits("--dim", args.dim)
     seed = _resolve_seed(args)
     gen = RngStream(seed).generator()
     rho = experiments.random_density_hs(args.dim, gen)

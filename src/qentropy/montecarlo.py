@@ -7,7 +7,6 @@ chunks run on one worker or many.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,10 @@ CHUNK_SAMPLES = 25_000
 # basis sample (a Ginibre matrix), so memory stays flat in N.  Chunks at
 # N <= 41 (sphere) and N <= 6 (basis) keep CHUNK_SAMPLES.
 _CHUNK_ENTRIES = 1 << 20
+# Basis mode orthonormalises by Gram-Schmidt up to this N, where its numpy
+# steps over the whole chunk beat one LAPACK QR call per matrix, and by QR
+# above it, where the per-call overhead is amortised.
+_GS_MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,13 @@ def _run_chunks(samples: int, rng: RngStream, workers: int, fn,
         return fn(sizes[index], rng.child(index))
 
     if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # imported here, so that CLI start-up does not load the pool
+        import os
+        from concurrent.futures import ThreadPoolExecutor
+
+        # more threads than chunks or cores would only wait
+        threads = min(workers, len(sizes), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, range(len(sizes))))
     return [run(i) for i in range(len(sizes))]
 
@@ -73,7 +82,48 @@ def _sphere_weights(p: np.ndarray, count: int, gen: np.random.Generator) -> np.n
     Gaussian z_r is exponential, and the normalisation cancels its scale.
     """
     w = gen.standard_exponential((count, len(p)))
-    return (w @ p) / w.sum(axis=1)
+    # numerator and normaliser from one product: a sum over a short
+    # axis costs more than the whole matmul
+    num, norm = (w @ np.column_stack((p, np.ones_like(p)))).T
+    return num / norm
+
+
+def _gram_schmidt_weights(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_r p_r |U_ra|^2 as a (k, a) array, U[k] the Gram-Schmidt
+    orthonormalisation of the columns of z[k].
+
+    The stack is laid out as (a, r, k), so each step runs over the
+    contiguous samples k.  Each column is projected off the earlier ones
+    twice: one pass leaves it off orthogonal by about the condition
+    number of z[k] times the rounding error, and the second restores
+    orthogonality to rounding ("twice is enough").
+    """
+    u = z.transpose(2, 1, 0).copy()
+    out = np.empty((u.shape[2], len(u)))
+    for a, v in enumerate(u):
+        for _ in range(2):
+            for q in u[:a]:
+                v -= q * (q.conj() * v).sum(axis=0)
+        sq = v.real ** 2 + v.imag ** 2
+        norm = sq.sum(axis=0)
+        v /= np.sqrt(norm)
+        out[:, a] = (p @ sq) / norm
+    return out
+
+
+def _basis_weights(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_r p_r |U_ra|^2 as a (k, a) array, U[k] a Haar unitary made from
+    the Ginibre matrix z[k].
+
+    Gram-Schmidt, whose R has a positive diagonal, gives U exactly Haar
+    (Mezzadri, Notices AMS 54, 2007); QR gives it up to a phase per column,
+    which |U_ra|^2 does not see.  Neither sees the scale of z, so the
+    1/sqrt(2) of a standard complex Gaussian is not needed.
+    """
+    if z.shape[1] <= _GS_MAX_N:
+        return _gram_schmidt_weights(p, z)
+    q = np.linalg.qr(z)[0]
+    return np.einsum("r,kra->ka", p, q.real ** 2 + q.imag ** 2)
 
 
 def _chunk_values(p: np.ndarray, count: int, gen: np.random.Generator, mode: str) -> np.ndarray:
@@ -81,14 +131,8 @@ def _chunk_values(p: np.ndarray, count: int, gen: np.random.Generator, mode: str
     if mode == "sphere":
         return n * _f(_sphere_weights(p, count, gen))
     if mode == "basis":
-        # |U_ra|^2 of a Haar unitary U.  QR of a Ginibre matrix gives U up to
-        # a phase per column, which |U_ra|^2 does not see, and QR does not see
-        # the scale of the matrix: so neither the phase correction nor the
-        # 1/sqrt(2) is needed.
         z = gen.standard_normal((count, n, n, 2)).view(np.complex128)[..., 0]
-        q = np.linalg.qr(z)[0]
-        probs = np.einsum("r,kra->ka", p, q.real ** 2 + q.imag ** 2)
-        return _f(probs).sum(axis=1)
+        return _f(_basis_weights(p, z)).sum(axis=1)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from qentropy import (
+    DimensionMismatchError,
     RngStream,
     eig_hermitian,
     haar_unitary,
     mc_density_histogram,
     spectrum_from_values,
 )
-from qentropy.cli import build_parser, main
+from qentropy.cli import _require_matrix_fits, build_parser, main
 from qentropy.io import load_density
 
 
@@ -460,6 +461,26 @@ class TestExperimentCommands:
         assert code == 3
         assert out == ""
         assert f"validation error: dimension must be >= 1, got {dim}" in err
+
+    # 2^62: at this size even one vector of the dimension is refused by
+    # numpy at once, so no command can start a real allocation
+    @pytest.mark.parametrize("argv", [
+        ["random-state", "--dim", str(2 ** 62)],
+        ["fig1", "--dim", str(2 ** 62), "--count", "1"],
+        ["check", "measurement_monotonicity", "--dim", str(2 ** 62), "--trials", "1"],
+        ["check", "ei1", "--dims", f"{2 ** 31}x{2 ** 31}", "--trials", "1"],
+    ])
+    def test_dimension_over_memory_cap_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error:")
+        assert "is above 8192" in err
+
+    def test_memory_cap_is_dimension_8192(self):
+        # a dense complex matrix of dimension 8192 takes exactly 2^30 bytes
+        _require_matrix_fits("--dim", 8192)
+        with pytest.raises(DimensionMismatchError):
+            _require_matrix_fits("--dim", 8193)
 
     def test_check_zero_trials(self, capsys):
         code, out, _ = run(capsys, "check", "ei1", "--trials", "0")

@@ -19,6 +19,15 @@ def test_import_loads_no_test_only_module():
     assert out.strip() == "[]"
 
 
+def test_cli_import_leaves_out_the_thread_pool():
+    # mc imports concurrent.futures only when it runs chunks on several workers
+    probe = "import sys, qentropy.cli\nprint('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_runtime_dependencies_are_numpy_alone():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

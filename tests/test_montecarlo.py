@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +15,14 @@ from qentropy import (
     spectrum_from_values,
     validate_density,
 )
-from qentropy.montecarlo import _CHUNK_ENTRIES, _sphere_weights
+from qentropy.montecarlo import (
+    _CHUNK_ENTRIES,
+    _GS_MAX_N,
+    CHUNK_SAMPLES,
+    _basis_weights,
+    _gram_schmidt_weights,
+    _sphere_weights,
+)
 
 
 def diag_spectrum(values):
@@ -123,6 +132,92 @@ class TestEntropyEstimate:
             tracemalloc.stop()
         assert peak <= 5 * 16 * _CHUNK_ENTRIES
         assert abs(est.mean - absolute_entropy(spec).s_total) <= 4 * est.stderr
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("workers,cores,threads", [
+        (5000, 4, 4), (5000, 64, 6), (2, 4, 2), (5000, None, 1)])
+    def test_threads_capped_by_chunks_and_cores(self, monkeypatch, workers, cores, threads):
+        # the fake pool records its size and runs the chunks serially, so
+        # the test starts no threads
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        spec = diag_spectrum([0.5, 0.3, 0.2])
+        serial = mc_entropy_estimate(spec, 6 * CHUNK_SAMPLES, RngStream(191))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        pooled = mc_entropy_estimate(spec, 6 * CHUNK_SAMPLES, RngStream(191), workers=workers)
+        assert sizes == [threads]
+        assert pooled == serial
+
+
+def ginibre(n, count, seed):
+    gen = RngStream(seed).generator()
+    return gen.standard_normal((count, n, n, 2)).view(np.complex128)[..., 0]
+
+
+class TestBasisWeights:
+    @staticmethod
+    def assert_matches_qr(z):
+        q = np.linalg.qr(z)[0]
+        moduli = q.real ** 2 + q.imag ** 2
+        n = z.shape[1]
+        for r in range(n):
+            got = _gram_schmidt_weights(np.eye(n)[r], z)
+            assert np.abs(got - moduli[:, r, :]).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, _GS_MAX_N + 1))
+    def test_gram_schmidt_matches_qr(self, n):
+        self.assert_matches_qr(ginibre(n, 2000, 193))
+
+    @pytest.mark.parametrize("n", range(2, _GS_MAX_N + 1))
+    def test_gram_schmidt_matches_qr_near_singular(self, n):
+        # the last two columns differ by 1e-8; the last column of a unitary
+        # is fixed by the others, so |U|^2 is well defined, and one
+        # projection pass alone would miss it by ~1e-7
+        z = ginibre(n, 2000, 197)
+        z[:, :, -1] = z[:, :, -2] + 1e-8 * z[:, :, -1]
+        self.assert_matches_qr(z)
+
+    @pytest.mark.parametrize("n", [3, 6, _GS_MAX_N + 2])
+    def test_haar_moments(self, n):
+        # row 0 of |U|^2 for Haar U: E|U_ra|^2 = 1/N, E|U_ra|^4 = 2/(N(N+1))
+        # and, across columns, E|U_r1|^2 |U_r2|^2 = 1/(N(N+1)), where
+        # independent flat-Dirichlet columns would give 1/N^2
+        w = _basis_weights(np.eye(n)[0], ginibre(n, 40_000, 199))
+        assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+        for x, expected in ((w[:, 0], 1 / n), (w[:, 0] ** 2, 2 / (n * (n + 1))),
+                            (w[:, 0] * w[:, 1], 1 / (n * (n + 1)))):
+            se = x.std(ddof=1) / math.sqrt(len(x))
+            assert abs(x.mean() - expected) <= 5 * se
+
+    def test_qr_runs_only_above_the_cutoff(self, monkeypatch):
+        class QrCalled(Exception):
+            pass
+
+        def qr(*args, **kwargs):
+            raise QrCalled
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        small = tie_and_zero(_GS_MAX_N)
+        est = mc_entropy_estimate(small, 100, RngStream(211), mode="basis")
+        assert est.samples == 100
+        large = tie_and_zero(_GS_MAX_N + 1)
+        with pytest.raises(QrCalled):
+            mc_entropy_estimate(large, 100, RngStream(211), mode="basis")
 
 
 class TestSphereWeights:
