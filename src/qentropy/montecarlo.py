@@ -7,6 +7,7 @@ chunks run on one worker or many.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,6 @@ CHUNK_SAMPLES = 25_000
 # basis sample (a Ginibre matrix), so memory stays flat in N.  Chunks at
 # N <= 41 (sphere) and N <= 6 (basis) keep CHUNK_SAMPLES.
 _CHUNK_ENTRIES = 1 << 20
-# Basis mode orthonormalises by Gram-Schmidt up to this N, where its numpy
-# steps over the whole chunk beat one LAPACK QR call per matrix, and by QR
-# above it, where the per-call overhead is amortised.
-_GS_MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,6 @@ def _run_chunks(samples: int, rng: RngStream, workers: int, fn,
 
     if workers > 1 and len(sizes) > 1:
         # imported here, so that CLI start-up does not load the pool
-        import os
         from concurrent.futures import ThreadPoolExecutor
 
         # more threads than chunks or cores would only wait
@@ -88,15 +84,20 @@ def _sphere_weights(p: np.ndarray, count: int, gen: np.random.Generator) -> np.n
     return num / norm
 
 
-def _gram_schmidt_weights(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_r p_r |U_ra|^2 as a (k, a) array, U[k] the Gram-Schmidt
-    orthonormalisation of the columns of z[k].
+def _basis_weights(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_r p_r |U_ra|^2 as a (k, a) array, U[k] the Haar unitary made
+    from the Ginibre matrix z[k] by Gram-Schmidt.
+
+    Gram-Schmidt's R has a positive diagonal, so U is exactly Haar
+    (Mezzadri, Notices AMS 54, 2007).  It does not see the scale of z, so
+    the 1/sqrt(2) of a standard complex Gaussian is not needed.
 
     The stack is laid out as (a, r, k), so each step runs over the
-    contiguous samples k.  Each column is projected off the earlier ones
-    twice: one pass leaves it off orthogonal by about the condition
-    number of z[k] times the rounding error, and the second restores
-    orthogonality to rounding ("twice is enough").
+    contiguous samples k, with no LAPACK call per matrix.  Each column is
+    projected off the earlier ones twice: one pass leaves it off
+    orthogonal by about the condition number of z[k] times the rounding
+    error, and the second restores orthogonality to rounding ("twice is
+    enough").
     """
     u = z.transpose(2, 1, 0).copy()
     out = np.empty((u.shape[2], len(u)))
@@ -109,21 +110,6 @@ def _gram_schmidt_weights(p: np.ndarray, z: np.ndarray) -> np.ndarray:
         v /= np.sqrt(norm)
         out[:, a] = (p @ sq) / norm
     return out
-
-
-def _basis_weights(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_r p_r |U_ra|^2 as a (k, a) array, U[k] a Haar unitary made from
-    the Ginibre matrix z[k].
-
-    Gram-Schmidt, whose R has a positive diagonal, gives U exactly Haar
-    (Mezzadri, Notices AMS 54, 2007); QR gives it up to a phase per column,
-    which |U_ra|^2 does not see.  Neither sees the scale of z, so the
-    1/sqrt(2) of a standard complex Gaussian is not needed.
-    """
-    if z.shape[1] <= _GS_MAX_N:
-        return _gram_schmidt_weights(p, z)
-    q = np.linalg.qr(z)[0]
-    return np.einsum("r,kra->ka", p, q.real ** 2 + q.imag ** 2)
 
 
 def _chunk_values(p: np.ndarray, count: int, gen: np.random.Generator, mode: str) -> np.ndarray:

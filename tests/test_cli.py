@@ -466,7 +466,6 @@ class TestExperimentCommands:
     # numpy at once, so no command can start a real allocation
     @pytest.mark.parametrize("argv", [
         ["random-state", "--dim", str(2 ** 62)],
-        ["fig1", "--dim", str(2 ** 62), "--count", "1"],
         ["check", "measurement_monotonicity", "--dim", str(2 ** 62), "--trials", "1"],
         ["check", "ei1", "--dims", f"{2 ** 31}x{2 ** 31}", "--trials", "1"],
     ])
@@ -475,6 +474,17 @@ class TestExperimentCommands:
         assert (code, out) == (3, "")
         assert err.startswith("validation error:")
         assert "is above 8192" in err
+
+    # fig1 draws spectra of length --dim, never a matrix; check reads --dim
+    # only for measurement_monotonicity
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--dim", "20000", "--count", "2", "--max-n", "2"],
+        ["check", "ei1", "--dim", str(2 ** 62), "--trials", "1"],
+    ])
+    def test_memory_cap_spares_commands_without_that_matrix(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out
 
     def test_memory_cap_is_dimension_8192(self):
         # a dense complex matrix of dimension 8192 takes exactly 2^30 bytes
