@@ -41,10 +41,14 @@ EXIT_DEGENERATE = 5
 _Z_MIN_RELATIVE_STDERR = 1e-12
 
 # The largest dimension of a dense matrix a command may be asked to build:
-# a complex matrix of dimension 8192 takes 2^30 bytes.  Checked before
-# anything is allocated, so that an absurd dimension gets a typed error,
-# not a MemoryError.
+# a complex matrix of dimension 8192 takes 2^30 bytes.  It also caps the
+# --dim a spectrum is zero-padded to, since pdensity's B-spline builds
+# N x N arrays.  Checked before anything is allocated, so that an absurd
+# dimension gets a typed error, not a MemoryError.
 _MAX_MATRIX_DIM = 8192
+
+# pdensity formats this many rows per write, so memory stays flat in --grid
+_CSV_BLOCK_ROWS = 4096
 
 
 class _CliError(Exception):
@@ -82,6 +86,10 @@ def _load_spectrum(args) -> Spectrum:
             raise _CliError(f"--dim {dim} smaller than spectrum length {spec.dim}",
                             EXIT_VALIDATION)
         if dim > spec.dim:
+            if dim > _MAX_MATRIX_DIM:
+                raise DimensionMismatchError(
+                    f"--dim {dim} is above {_MAX_MATRIX_DIM}, the largest dimension "
+                    f"a spectrum is zero-padded to")
             padded = np.concatenate([spec.values, np.zeros(dim - spec.dim)])
             spec = spectrum_from_values(padded)
         return spec
@@ -158,8 +166,10 @@ def cmd_pdensity(args) -> int:
     curve = density_curve(spec, args.grid)
     with _out_stream(args) as out:
         out.write("s,p\n")
-        out.writelines(f"{s:.12g},{p:.12g}\n" for s, p in
-                       zip(curve.grid.tolist(), curve.densities.tolist()))
+        for start in range(0, args.grid, _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            flat = np.column_stack((curve.grid[rows], curve.densities[rows])).ravel()
+            out.write("%.12g,%.12g\n" * (len(flat) // 2) % tuple(flat.tolist()))
     return 0
 
 

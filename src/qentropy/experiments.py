@@ -144,15 +144,24 @@ def uniform_curve_interpolation(s_h: float, max_n: int = 64) -> float:
     return float(np.interp(s_h, xs, ys))
 
 
+def _flat_dirichlet(gens, dim: int) -> np.ndarray:
+    """One flat-Dirichlet draw of length dim per generator, as rows.
+
+    Bit for bit what Generator.dirichlet(np.ones(dim)) draws: standard
+    exponentials times the reciprocal of their sequential sum.
+    """
+    w = np.array([gen.standard_exponential(dim) for gen in gens])
+    return w * (1.0 / np.cumsum(w, axis=1)[:, -1:])
+
+
 def fig1_random_mixtures(dim: int, count: int, rng: RngStream) -> list[Fig1Row]:
     """Scatter of randomly mixed states (flat Dirichlet spectra)."""
     if dim < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
     rows = []
     gens = rng.children(_substream(TAG_FIG1_MIXTURES, t) for t in range(count))
-    alpha = np.ones(dim)
     for block in _blocks(0, count, dim):
-        draws = np.array([gen.dirichlet(alpha) for gen in islice(gens, len(block))])
+        draws = _flat_dirichlet(islice(gens, len(block)), dim)
         # sorted and normalised as spectrum_from_values does it, row by row
         p = np.sort(draws, axis=1)[:, ::-1]
         p = p / np.array([math.fsum(row) for row in p.tolist()])[:, None]

@@ -18,8 +18,9 @@ from .states import Spectrum
 
 CHUNK_SAMPLES = 25_000
 # A chunk draws at most this many entries: N per sphere sample, N^2 per
-# basis sample (a Ginibre matrix), so memory stays flat in N.  Chunks at
-# N <= 41 (sphere) and N <= 6 (basis) keep CHUNK_SAMPLES.
+# basis sample (a Ginibre matrix, of which N - 1 columns are drawn), so
+# memory stays flat in N.  Chunks at N <= 41 (sphere) and N <= 6 (basis)
+# keep CHUNK_SAMPLES.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -84,23 +85,27 @@ def _sphere_weights(p: np.ndarray, count: int, gen: np.random.Generator) -> np.n
     return num / norm
 
 
-def _basis_weights(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_r p_r |U_ra|^2 as a (k, a) array, U[k] the Haar unitary made
-    from the Ginibre matrix z[k] by Gram-Schmidt.
+def _basis_weights(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_r p_r |U_ra|^2 as a (k, a) array, U[k] a Haar unitary whose
+    first N - 1 columns are the Gram-Schmidt of the Ginibre columns
+    u[:, :, k].
 
-    Gram-Schmidt's R has a positive diagonal, so U is exactly Haar
-    (Mezzadri, Notices AMS 54, 2007).  It does not see the scale of z, so
-    the 1/sqrt(2) of a standard complex Gaussian is not needed.
+    u is laid out as (a, r, k): N - 1 columns of N rows, so each step runs
+    over the contiguous samples k, with no LAPACK call per matrix, and it
+    is orthonormalised in place.  Gram-Schmidt's R has a positive
+    diagonal, so the columns are those of an exactly Haar U (Mezzadri,
+    Notices AMS 54, 2007).  It does not see the scale of u, so the
+    1/sqrt(2) of a standard complex Gaussian is not needed.  Each column
+    is projected off the earlier ones twice: one pass leaves it off
+    orthogonal by about the condition number of the matrix times the
+    rounding error, and the second restores orthogonality to rounding
+    ("twice is enough").
 
-    The stack is laid out as (a, r, k), so each step runs over the
-    contiguous samples k, with no LAPACK call per matrix.  Each column is
-    projected off the earlier ones twice: one pass leaves it off
-    orthogonal by about the condition number of z[k] times the rounding
-    error, and the second restores orthogonality to rounding ("twice is
-    enough").
+    The last column is never formed: every row of U has unit norm, so
+    the weights sum to sum_r p_r = 1 and the last one is 1 minus the
+    others.
     """
-    u = z.transpose(2, 1, 0).copy()
-    out = np.empty((u.shape[2], len(u)))
+    out = np.empty((len(p), u.shape[2]))
     for a, v in enumerate(u):
         for _ in range(2):
             for q in u[:a]:
@@ -108,8 +113,9 @@ def _basis_weights(p: np.ndarray, z: np.ndarray) -> np.ndarray:
         sq = v.real ** 2 + v.imag ** 2
         norm = sq.sum(axis=0)
         v /= np.sqrt(norm)
-        out[:, a] = (p @ sq) / norm
-    return out
+        out[a] = (p @ sq) / norm
+    out[-1] = np.maximum(1.0 - out[:-1].sum(axis=0), 0.0)
+    return out.T
 
 
 def _chunk_values(p: np.ndarray, count: int, gen: np.random.Generator, mode: str) -> np.ndarray:
@@ -117,8 +123,8 @@ def _chunk_values(p: np.ndarray, count: int, gen: np.random.Generator, mode: str
     if mode == "sphere":
         return n * _f(_sphere_weights(p, count, gen))
     if mode == "basis":
-        z = gen.standard_normal((count, n, n, 2)).view(np.complex128)[..., 0]
-        return _f(_basis_weights(p, z)).sum(axis=1)
+        u = gen.standard_normal((n - 1, n, count, 2)).view(np.complex128)[..., 0]
+        return _f(_basis_weights(p, u)).sum(axis=1)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -11,6 +11,7 @@ import pytest
 from qentropy import (
     DimensionMismatchError,
     RngStream,
+    density_curve,
     eig_hermitian,
     haar_unitary,
     mc_density_histogram,
@@ -326,6 +327,21 @@ class TestPdensityCommand:
         assert float(rows["0.002"]) < 1e-50
         assert max(float(p) for p in rows.values()) < 300
 
+    @pytest.mark.parametrize("grid", [1, 2, 3001])
+    def test_csv_matches_per_row_formatting(self, tmp_path, spectrum_file, grid):
+        # the rows are formatted in blocks; each must read as the f-string
+        # "{s:.12g},{p:.12g}" of its point
+        values = "0.4 0.4 0.2 0"
+        path = tmp_path / "p.csv"
+        code = main(["pdensity", "--spectrum", spectrum_file(values), "--grid", str(grid),
+                     "--output", str(path)])
+        curve = density_curve(spectrum_from_values([float(v) for v in values.split()]),
+                              grid)
+        expected = "s,p\n" + "".join(f"{s:.12g},{p:.12g}\n" for s, p in
+                                     zip(curve.grid.tolist(), curve.densities.tolist()))
+        assert code == 0
+        assert path.read_bytes() == expected.encode()
+
     @pytest.mark.parametrize("grid", ["0", "-5"])
     def test_grid_below_one_exit_2(self, capsys, spectrum_file, grid):
         code, out, err = run(capsys, "pdensity", "--spectrum", spectrum_file("0.7 0.3"),
@@ -474,6 +490,25 @@ class TestExperimentCommands:
         assert (code, out) == (3, "")
         assert err.startswith("validation error:")
         assert "is above 8192" in err
+
+    # a spectrum is zero-padded to at most 8192; pdensity is not run at 8193,
+    # where an uncapped B-spline would build N x N arrays of about 1 GiB
+    @pytest.mark.parametrize("argv,dim", [
+        (["entropy"], 2 ** 62), (["mc", "--samples", "1000"], 2 ** 62),
+        (["pdensity"], 2 ** 62), (["entropy"], 8193), (["mc", "--samples", "1000"], 8193),
+    ])
+    def test_padded_dimension_over_cap_exit_3(self, capsys, spectrum_file, argv, dim):
+        code, out, err = run(capsys, *argv, "--spectrum", spectrum_file("0.5 0.5"),
+                             "--dim", str(dim))
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error:")
+        assert f"--dim {dim} is above 8192" in err
+
+    def test_padded_dimension_at_cap_runs(self, capsys, spectrum_file):
+        code, out, _ = run(capsys, "entropy", "--spectrum", spectrum_file("0.5 0.5"),
+                           "--dim", "8192", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1].startswith("8192,")
 
     # fig1 draws spectra of length --dim, never a matrix; check reads --dim
     # only for measurement_monotonicity

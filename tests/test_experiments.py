@@ -70,6 +70,16 @@ class TestFig1RandomMixtures:
         assert a == b
 
 
+class TestFlatDirichlet:
+    @pytest.mark.parametrize("n", [1, 6, 8, 64])
+    def test_bit_identical_to_generator_dirichlet(self, n):
+        substreams = range(50)
+        got = experiments._flat_dirichlet(RngStream(233).children(substreams), n)
+        expected = [RngStream(233).child(i).dirichlet(np.ones(n)) for i in substreams]
+        assert got.shape == (50, n)
+        assert np.array_equal(got, expected)
+
+
 class TestFig1Inset:
     def test_values(self):
         table = fig1_inset(8)

@@ -20,6 +20,7 @@ from qentropy.montecarlo import (
     CHUNK_SAMPLES,
     _basis_weights,
     _chunk_size,
+    _chunk_values,
     _sphere_weights,
 )
 
@@ -92,6 +93,21 @@ class TestEntropyEstimate:
         with pytest.raises(InsufficientSamplesError):
             mc_entropy_estimate(diag_spectrum([0.5, 0.5]), 99, RngStream(1))
 
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_basis_mode_matches_closed_form_with_tie_and_zero(self, n):
+        spec = tie_and_zero(n)
+        est = mc_entropy_estimate(spec, 60_000, RngStream(181), mode="basis")
+        assert abs(est.mean - absolute_entropy(spec).s_total) <= 4 * est.stderr
+
+    def test_basis_mode_at_dimension_one_draws_nothing(self):
+        # U is a phase: the one outcome weight is 1, from unitarity alone
+        gen = RngStream(227).generator()
+        assert np.array_equal(_chunk_values(np.ones(1), 500, gen, "basis"), np.zeros(500))
+        assert gen.random() == RngStream(227).generator().random()
+        est = mc_entropy_estimate(spectrum_from_values([1.0]), 1_000, RngStream(227),
+                                  mode="basis")
+        assert (est.mean, est.stderr) == (0.0, 0.0)
+
     @pytest.mark.parametrize("n", [16, 64])
     def test_matches_closed_form_at_larger_n(self, n):
         spec = tie_and_zero(n)
@@ -116,9 +132,10 @@ class TestEntropyEstimate:
         assert abs(est.mean - absolute_entropy(spec).s_total) <= 4 * est.stderr
 
     def test_basis_mode_memory_flat_in_n(self):
-        # a basis-mode chunk holds at most _CHUNK_ENTRIES matrix entries, so
-        # the peak is a few complex arrays of that size whatever N and the
-        # sample count; one 600-sample chunk at N = 64 would take 2.3 times more
+        # a basis-mode chunk draws N - 1 columns of at most _CHUNK_ENTRIES / N
+        # entries and orthonormalises them in place, so the peak is one
+        # complex array of that size whatever N and the sample count; a
+        # transposed copy of the draw would take it over the bound
         import tracemalloc
 
         n = 64
@@ -129,7 +146,7 @@ class TestEntropyEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 16 * _CHUNK_ENTRIES
+        assert peak <= 2 * 16 * _CHUNK_ENTRIES
         assert abs(est.mean - absolute_entropy(spec).s_total) <= 4 * est.stderr
 
 
@@ -164,20 +181,29 @@ class TestWorkerPool:
 
 
 def ginibre(n, count, seed):
+    """count N x N Ginibre matrices, laid out as (column, row, sample)."""
     gen = RngStream(seed).generator()
-    return gen.standard_normal((count, n, n, 2)).view(np.complex128)[..., 0]
+    return gen.standard_normal((n, n, count, 2)).view(np.complex128)[..., 0]
+
+
+def near_singular(z):
+    """z with each column 1e-8 of a Ginibre column away from the one before."""
+    scale = np.r_[1.0, np.full(len(z) - 1, 1e-8)]
+    return np.cumsum(z * scale[:, None, None], axis=0)
 
 
 class TestBasisWeights:
     @staticmethod
     def assert_matches_qr(z):
-        q = np.linalg.qr(z)[0]
+        # _basis_weights sees the first N - 1 columns of z; the last weight,
+        # from unitarity, is checked against the last column of QR's Q
+        q = np.linalg.qr(z.transpose(2, 1, 0))[0]
         moduli = q.real ** 2 + q.imag ** 2
-        n = z.shape[1]
+        n = len(z)
         # the first, a middle and the last row: each call orthonormalises
-        # the whole stack again
+        # a fresh copy of the stack
         for r in sorted({0, n // 2, n - 1}):
-            got = _basis_weights(np.eye(n)[r], z)
+            got = _basis_weights(np.eye(n)[r], z[:-1].copy())
             assert np.abs(got - moduli[:, r, :]).max() <= 1e-12
 
     @pytest.mark.parametrize("n,count", [(n, 2000) for n in range(1, 10)]
@@ -188,25 +214,45 @@ class TestBasisWeights:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_gram_schmidt_matches_qr_near_singular(self, n):
         # the last two columns differ by 1e-8; the last column of a unitary
-        # is fixed by the others, so |U|^2 is well defined, and one
-        # projection pass alone would miss it by ~1e-7
+        # is fixed by the others, so |U|^2 is well defined
         z = ginibre(n, 2000, 197)
-        z[:, :, -1] = z[:, :, -2] + 1e-8 * z[:, :, -1]
+        z[-1] = z[-2] + 1e-8 * z[-1]
         self.assert_matches_qr(z)
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["generic", "near-singular"])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_last_weight_from_unitarity(self, n, singular):
+        # 1 - sum of the first N - 1 weights against the explicit last
+        # column: QR's completion of the N - 1 columns that _basis_weights
+        # left orthonormal in place.  In the near-singular stack one
+        # projection pass alone would leave them off orthogonal by 2e-7-1e-6.
+        z = ginibre(n, 2000, 211)
+        if singular:
+            z = near_singular(z)
+        p = tie_and_zero(n).values
+        u = z[:-1].copy()
+        got = _basis_weights(p, u)
+        gram = np.einsum("ark,brk->kab", u.conj(), u)
+        assert np.abs(gram - np.eye(n - 1)).max() <= 1e-12
+        q = np.linalg.qr(np.concatenate((u, z[-1:])).transpose(2, 1, 0))[0][:, :, -1]
+        assert np.abs(got[:, -1] - (q.real ** 2 + q.imag ** 2) @ p).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 6, 11])
     def test_haar_moments(self, n):
         # row 0 of |U|^2 for Haar U: E|U_ra|^2 = 1/N, E|U_ra|^4 = 2/(N(N+1))
-        # and, across columns, E|U_r1|^2 |U_r2|^2 = 1/(N(N+1)), where
-        # independent flat-Dirichlet columns would give 1/N^2.  Drawn in
-        # chunks of the estimator's size, so memory stays flat in N.
+        # for a drawn column and for the last, from unitarity, and, across
+        # columns, E|U_r1|^2 |U_r2|^2 = 1/(N(N+1)), where independent
+        # flat-Dirichlet columns would give 1/N^2.  Drawn in chunks of the
+        # estimator's size, so memory stays flat in N.
         samples, chunk = 40_000, _chunk_size(n * n)
         w = np.concatenate([
-            _basis_weights(np.eye(n)[0], ginibre(n, min(chunk, samples - start), 199 + start))
+            _basis_weights(np.eye(n)[0],
+                           ginibre(n, min(chunk, samples - start), 199 + start)[:-1])
             for start in range(0, samples, chunk)])
         assert len(w) == samples
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
         for x, expected in ((w[:, 0], 1 / n), (w[:, 0] ** 2, 2 / (n * (n + 1))),
+                            (w[:, -1], 1 / n), (w[:, -1] ** 2, 2 / (n * (n + 1))),
                             (w[:, 0] * w[:, 1], 1 / (n * (n + 1)))):
             se = x.std(ddof=1) / math.sqrt(len(x))
             assert abs(x.mean() - expected) <= 5 * se
