@@ -224,13 +224,7 @@ def cmd_check(args) -> int:
     # only measurement_monotonicity reads --dim
     if "measurement_monotonicity" in wanted:
         _require_matrix_fits("--dim", args.dim)
-    reports = []
-    if wanted & {"ei1", "ei2", "ei3", "ei3a"}:
-        reports.extend(r for r in experiments.inequality_suite(
-            args.trials, dims, RngStream(seed)) if r.inequality_id in wanted)
-    if "measurement_monotonicity" in wanted:
-        reports.append(experiments.measurement_conjecture_scan(
-            args.trials, args.dim, RngStream(seed)))
+    reports = experiments.run_checks(wanted, args.trials, dims, args.dim, RngStream(seed))
     with _out_stream(args) as out:
         out.write("inequality,trials,violations,worst_margin\n")
         for r in reports:

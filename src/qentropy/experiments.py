@@ -3,14 +3,19 @@ the entropy inequality suites, and the projective-measurement check.
 
 Every random trial draws from its own substream, so any violation can be
 re-generated from the (seed, stream_id, tag, trial) recorded in its
-certificate.  Trials run in blocks: each trial still draws from its own
-substream, and then each step (Ginibre product, validation, eigenvalues,
-partial trace, QR, S_F) runs once on the whole block.
+certificate.  Trials run in blocks of one kind and dims, and `check`
+packs the blocks of all its kinds and dims into passes, each bounded like
+a block (so a small check is one pass).  In a pass each trial
+still draws from its own substream; then one _hs_states call per matrix
+size validates the states, one eigvalsh per matrix size gives the reduced
+and dephased spectra, and one _excess_rows call per spectrum width gives
+S_F.  Each step acts on every matrix or row on its own, so the grouping
+changes no digit.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, zip_longest
 
 import numpy as np
 
@@ -175,56 +180,63 @@ def fig1_inset(max_dim: int) -> list[tuple[int, float, float]]:
     return [(n, s0_exact(n), s0_asymptotic(n)) for n in range(1, max_dim + 1)]
 
 
-# The random trials.  Each takes an iterable of one generator per trial and
-# the trial's dims, draws every trial's state from its own generator in a
-# fixed order, one trial after the other, and returns (lhs, rhs) arrays over
-# the block; the margin is rhs - lhs.
-# The entropies take (k, N) stacks of spectra.
-
-def _total(p: np.ndarray) -> np.ndarray:
-    """Absolute entropy S = s0(N) + F of states with these spectra."""
-    return s0_exact(p.shape[1]) + _excess_rows(p)
-
-
-def _reduced(rho: np.ndarray, dims, keep: int) -> np.ndarray:
-    """Spectra of subsystem `keep` of each bipartite state."""
-    return _spectra(np.linalg.eigvalsh(_partial_trace_stack(rho, dims, keep)))
-
+# The random trials.  Each kind is a generator function, whose generator
+# (a trial body) runs one block of trials.  Called with an iterable of one
+# random generator per trial and the trials' dims, it draws every trial's
+# state from its own random generator in a fixed order, one trial after
+# the other.  It then yields three lists of (k, ...) stacks, and is sent
+# back one result per stack, in order:
+#   1. Ginibre stacks, each answered by _hs_states: (states, spectra);
+#   2. Hermitian stacks, each answered by its spectra;
+#   3. stacks of spectra, each answered by its S_F rows.
+# Last it yields (lhs, rhs) arrays over the block; the margin is rhs - lhs.
+# _pass runs the steps of many bodies together.
 
 def _ei1(gens, dims):
     """A subsystem needs less information than the whole: S(A) <= S(AB)."""
     n, m = dims
-    rho, p = _hs_states(_ginibre(gens, n * m)[0])
-    return _total(_reduced(rho, dims, 0)), _total(p)
+    [(rho, p)] = yield _ginibre(gens, n * m)
+    [r] = yield [_partial_trace_stack(rho, dims, 0)]
+    f_r, f_p = yield [r, p]
+    yield s0_exact(n) + f_r, s0_exact(n * m) + f_p
+
+
+def _factors(gens, dims):
+    """S_F of two independent states and of their product state."""
+    (_, p), (_, q) = yield _ginibre(gens, *dims)
+    yield []
+    return (yield [p, q, _product_spectra(p, q)])
 
 
 def _ei2(gens, dims):
     """Superadditivity on product states: S(A) + S(B) <= S(A x B)."""
-    (_, p), (_, q) = (_hs_states(g) for g in _ginibre(gens, *dims))
-    return _total(p) + _total(q), _total(_product_spectra(p, q))
+    n, m = dims
+    f_p, f_q, f_pq = yield from _factors(gens, dims)
+    yield (s0_exact(n) + f_p) + (s0_exact(m) + f_q), s0_exact(n * m) + f_pq
 
 
 def _ei3_product(gens, dims):
     """Excess subadditivity on product states: F(A x B) <= F(A) + F(B)."""
-    (_, p), (_, q) = (_hs_states(g) for g in _ginibre(gens, *dims))
-    return _excess_rows(_product_spectra(p, q)), _excess_rows(p) + _excess_rows(q)
+    f_p, f_q, f_pq = yield from _factors(gens, dims)
+    yield f_pq, f_p + f_q
 
 
 def _ei3_correlated(gens, dims):
     """Excess subadditivity on correlated states: F(AB) <= F(A) + F(B)."""
-    n, m = dims
-    rho, p = _hs_states(_ginibre(gens, n * m)[0])
-    return (_excess_rows(p),
-            _excess_rows(_reduced(rho, dims, 0)) + _excess_rows(_reduced(rho, dims, 1)))
+    [(rho, p)] = yield _ginibre(gens, math.prod(dims))
+    reduced = yield [_partial_trace_stack(rho, dims, keep) for keep in (0, 1)]
+    f_p, f_a, f_b = yield [p, *reduced]
+    yield f_p, f_a + f_b
 
 
 def _measurement(gens, dims):
     """A projective measurement in a Haar-random basis: S(rho) <= S(sigma)."""
     (dim,) = dims
     g, z = _ginibre(gens, dim, dim)
-    rho, p = _hs_states(g)
-    sigma = _dephase_stack(rho, _haar_from_normals(z))
-    return _total(p), _total(_spectra(np.linalg.eigvalsh(sigma)))
+    [(rho, p)] = yield [g]
+    [s] = yield [_dephase_stack(rho, _haar_from_normals(z))]
+    f_p, f_s = yield [p, s]
+    yield s0_exact(dim) + f_p, s0_exact(dim) + f_s
 
 
 # (inequality id, substream tag) -> trial
@@ -237,30 +249,127 @@ _TRIALS = {
 }
 
 
+def _eigenspectra(m: np.ndarray) -> np.ndarray:
+    """Spectra of a (k, n, n) stack of Hermitian matrices."""
+    return _spectra(np.linalg.eigvalsh(m))
+
+
+def _grouped(fn, stacks) -> list:
+    """fn of each (k, ...) stack, calling fn once per trailing shape.
+
+    Stacks of equal trailing shape are concatenated, and fn's result, an
+    array or a tuple of arrays, is sliced back.  fn must treat each entry
+    of a stack on its own, so the grouping changes no result.
+    """
+    out = [None] * len(stacks)
+    for shape in dict.fromkeys(s.shape[1:] for s in stacks):
+        group = [i for i, s in enumerate(stacks) if s.shape[1:] == shape]
+        res = fn(np.concatenate([stacks[i] for i in group]))
+        start = 0
+        for i in group:
+            part = slice(start, start + len(stacks[i]))
+            out[i] = tuple(r[part] for r in res) if isinstance(res, tuple) else res[part]
+            start = part.stop
+    return out
+
+
+def _pass(bodies) -> list:
+    """Run trial bodies together; returns the (lhs, rhs) of each.
+
+    The bodies draw one after the other, in the order given.  Then each
+    step runs once on the stacks of all the bodies: one _hs_states and one
+    eigvalsh per matrix size, one _excess_rows per spectrum width.
+    """
+    asked = [next(body) for body in bodies]
+    for step in (_hs_states, _eigenspectra, _excess_rows):
+        answers = iter(_grouped(step, [s for stacks in asked for s in stacks]))
+        asked = [body.send(list(islice(answers, len(stacks))))
+                 for body, stacks in zip(bodies, asked)]
+    return asked
+
+
 def _ei3a(dims):
     """Superadditivity of the minimum uncertainty entropy: s0(N) + s0(M) <= s0(NM)."""
     n, m = dims
     return s0_exact(n) + s0_exact(m), s0_exact(n * m)
 
 
+def _passes(runs, count: int):
+    """The blocks of the runs, as passes: lists of (run index, block).
+
+    Blocks are taken in turn, block 0 of every run, then block 1, and so
+    on.  A pass is bounded like a block, by _BLOCK trials and
+    _BLOCK_ENTRIES matrix entries, so it holds at most one block per run
+    and memory stays flat in the trial count.
+    """
+    steps = zip_longest(*(_blocks(first, count, math.prod(dims)) for _, _, first, dims in runs))
+    batch, trials, entries = [], 0, 0
+    for i, block in ((i, block) for step in steps for i, block in enumerate(step) if block):
+        size = len(block) * math.prod(runs[i][3]) ** 2
+        if batch and (trials + len(block) > _BLOCK or entries + size > _BLOCK_ENTRIES):
+            yield batch
+            batch, trials, entries = [], 0, 0
+        batch.append((i, block))
+        trials += len(block)
+        entries += size
+    if batch:
+        yield batch
+
+
 def _run(runs, count: int, rng: RngStream):
-    """For each (report, tag, first, dims) of runs, in turn, record trials
+    """For each (report, tag, first, dims) of runs, record trials
     first .. first + count - 1 of that kind into report.
 
-    All trials draw from one generator, re-keyed to the substream
-    of each trial in the order the trial functions take them.
+    The blocks of all runs go through _pass together, a pass at a time.
+    All trials draw from one generator, re-keyed to the substream of each
+    trial in the order the passes take them.  A report's certificates keep
+    the order of its runs.
     """
-    gens = rng.children(_substream(tag, t) for _, tag, first, _ in runs
-                        for t in range(first, first + count))
-    for report, tag, first, dims in runs:
-        trial_fn = _TRIALS[report.inequality_id, tag]
-        for block in _blocks(first, count, math.prod(dims)):
-            lhs, rhs = trial_fn(islice(gens, len(block)), dims)
+    gens = rng.children(_substream(runs[i][1], t) for batch in _passes(runs, count)
+                        for i, block in batch for t in block)
+    found = [[] for _ in runs]
+    for batch in _passes(runs, count):
+        results = _pass([_TRIALS[runs[i][0].inequality_id, runs[i][1]](
+            islice(gens, len(block)), runs[i][3]) for i, block in batch])
+        for (i, block), (lhs, rhs) in zip(batch, results):
+            report, tag, _, dims = runs[i]
             for t, left, right in zip(block, lhs.tolist(), rhs.tolist()):
                 if report.record(right - left):
-                    report.certificates.append(Certificate(
+                    found[i].append(Certificate(
                         report.inequality_id, tag, t, rng.seed, rng.stream_id, dims,
                         lhs=left, rhs=right, margin=right - left))
+    for (report, *_), certs in zip(runs, found):
+        report.certificates += certs
+
+
+def run_checks(ids, trials: int, dims, dim: int, rng: RngStream) -> list[InequalityReport]:
+    """The reports of the wanted check ids, in the order ei1, ei2, ei3,
+    ei3a, measurement_monotonicity.
+
+    Only the random kinds of the wanted ids run, all in one _run: `trials`
+    trials of ei1, ei2 and ei3 per (N, M) of dims, and of
+    measurement_monotonicity at dimension dim.  A trial's draws depend only
+    on its kind and index, so a subset of ids prints the rows of a full
+    run.  ei3a is the fixed grid N, M = 2..8.
+    """
+    reports = {i: InequalityReport(i) for i in
+               ("ei1", "ei2", "ei3", "ei3a", "measurement_monotonicity") if i in ids}
+    runs = [(reports[i], tag, di * trials, tuple(nm)) for di, nm in enumerate(dims)
+            for i, tag in _TRIALS if i in reports and tag != TAG_MEASUREMENT]
+    if "measurement_monotonicity" in reports:
+        runs.append((reports["measurement_monotonicity"], TAG_MEASUREMENT, 0, (dim,)))
+    _run(runs, trials, rng)
+
+    if "ei3a" in reports:
+        for n in range(2, 9):
+            for m in range(2, 9):
+                lhs, rhs = _ei3a((n, m))
+                if reports["ei3a"].record(rhs - lhs):
+                    reports["ei3a"].certificates.append(Certificate(
+                        "ei3a", 0, 0, rng.seed, rng.stream_id, (n, m),
+                        lhs=lhs, rhs=rhs, margin=rhs - lhs))
+
+    return list(reports.values())
 
 
 def inequality_suite(trials: int, dims, rng: RngStream) -> list[InequalityReport]:
@@ -272,25 +381,7 @@ def inequality_suite(trials: int, dims, rng: RngStream) -> list[InequalityReport
          for the reductions of correlated states; exploratory, reported only.
     ei3a: superadditivity of the minimum uncertainty entropy (asserted).
     """
-    ei1 = InequalityReport("ei1")
-    ei2 = InequalityReport("ei2")
-    ei3 = InequalityReport("ei3")
-    ei3a = InequalityReport("ei3a")
-
-    _run([(report, tag, di * trials, tuple(nm)) for di, nm in enumerate(dims)
-          for report, tag in ((ei1, TAG_EI1), (ei2, TAG_EI2),
-                              (ei3, TAG_EI3_PRODUCT), (ei3, TAG_EI3_CORRELATED))],
-         trials, rng)
-
-    for n in range(2, 9):
-        for m in range(2, 9):
-            lhs, rhs = _ei3a((n, m))
-            if ei3a.record(rhs - lhs):
-                ei3a.certificates.append(Certificate(
-                    "ei3a", 0, 0, rng.seed, rng.stream_id, (n, m),
-                    lhs=lhs, rhs=rhs, margin=rhs - lhs))
-
-    return [ei1, ei2, ei3, ei3a]
+    return run_checks(("ei1", "ei2", "ei3", "ei3a"), trials, dims, 0, rng)
 
 
 def measurement_conjecture_scan(trials: int, dim: int, rng: RngStream) -> InequalityReport:
@@ -302,15 +393,14 @@ def measurement_conjecture_scan(trials: int, dim: int, rng: RngStream) -> Inequa
     Schur-concave, and S_0(N) does not change, so S(sigma) >= S(rho).  A
     violation means a fault in S_F or in the measurement update.
     """
-    report = InequalityReport("measurement_monotonicity")
-    _run([(report, TAG_MEASUREMENT, 0, (dim,))], trials, rng)
+    [report] = run_checks(("measurement_monotonicity",), trials, (), dim, rng)
     return report
 
 
 def reverify_certificate(cert: Certificate) -> float:
     """Recompute a certificate's margin from its recorded seed; returns it.
 
-    The random kinds rerun their trial as a block of one, through the same
+    The random kinds rerun their trial as a pass of one, through the same
     code as the run that recorded it.
     """
     dims = tuple(cert.dims)
@@ -321,7 +411,7 @@ def reverify_certificate(cert: Certificate) -> float:
     if trial_fn is None:
         raise ValueError(f"unknown certificate kind {cert.inequality_id!r}")
     gen = RngStream(cert.seed, cert.stream_id).child(_substream(cert.tag, cert.trial))
-    lhs, rhs = trial_fn([gen], dims)
+    [(lhs, rhs)] = _pass([trial_fn([gen], dims)])
     return float(rhs[0] - lhs[0])
 
 

@@ -406,6 +406,68 @@ class TestExperimentCommands:
         assert seen[1].get("SeedSequence", 0) + seen[1].get("Philox", 0) <= 20
         assert "Certificate" not in seen[1]
 
+    def test_check_runs_each_step_once_per_shape(self, capsys, monkeypatch):
+        # a check op of the benchmark's shape: every trial kind and --dims
+        # entry goes through one pass, so S_F runs once per spectrum width
+        # and the state validation once per matrix size
+        from qentropy import experiments
+
+        shapes = {"_excess_rows": [], "_hs_states": []}
+
+        def count(name):
+            real = getattr(experiments, name)
+
+            def wrapper(stack):
+                shapes[name].append(stack.shape[1:])
+                return real(stack)
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        count("_excess_rows")
+        count("_hs_states")
+        code, _, _ = run(capsys, "check", "ei1", "ei2", "ei3", "ei3a",
+                         "measurement_monotonicity", "--trials", "3",
+                         "--dims", "2x2,2x3,3x3", "--dim", "3", "--seed", "4")
+        assert code == 0
+        for name, seen in shapes.items():
+            assert seen and len(seen) == len(set(seen)), (name, seen)
+
+    @pytest.mark.parametrize("inequality_id", ["ei1", "ei2", "ei3", "ei3a",
+                                               "measurement_monotonicity"])
+    def test_check_one_id_prints_its_row_of_the_full_run(self, capsys, inequality_id):
+        argv = ["--trials", "40", "--dims", "2x2,3x2", "--dim", "4", "--seed", "8"]
+        _, full, _ = run(capsys, "check", *argv)
+        code, one, _ = run(capsys, "check", inequality_id, *argv)
+        rows = [row for row in full.splitlines()[1:] if row.split(",")[0] == inequality_id]
+        assert code == 0 and one.splitlines() == full.splitlines()[:1] + rows
+
+    def test_check_ei3a_draws_no_random_state(self, capsys, monkeypatch):
+        # ei3a is a fixed grid, so its --trials draws nothing
+        from qentropy import experiments
+
+        def fail(*args):
+            raise AssertionError("check ei3a drew a random state")
+
+        monkeypatch.setattr(experiments, "_ginibre", fail)
+        code, out, _ = run(capsys, "check", "ei3a", "--trials", str(10**7))
+        assert code == 0
+        assert out.splitlines()[1].startswith("ei3a,49,0,")
+
+    def test_check_memory_flat_in_trials(self, capsys):
+        import tracemalloc
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "check", "--trials", str(trials),
+                                 "--dims", "2x2,2x3,3x3,8x8", "--dim", "16")
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (code_300, peak_300), (code_2000, peak_2000) = peak(300), peak(2000)
+        assert code_300 == code_2000 == 0
+        assert peak_2000 <= 1.5 * peak_300
+
     def test_inset_table(self, capsys):
         code, out, _ = run(capsys, "inset", "--max-dim", "4")
         assert code == 0
@@ -437,10 +499,8 @@ class TestExperimentCommands:
                     inequality_id, 1, 0, 5, 0, (2, 2), lhs=0.0, rhs=margin, margin=margin))
             return rep
 
-        monkeypatch.setattr(experiments, "inequality_suite", lambda trials, dims, rng: [
-            synthetic(i) for i in ("ei1", "ei2", "ei3", "ei3a")])
-        monkeypatch.setattr(experiments, "measurement_conjecture_scan",
-                            lambda trials, dim, rng: synthetic("measurement_monotonicity"))
+        monkeypatch.setattr(experiments, "run_checks", lambda ids, trials, dims, dim, rng: [
+            synthetic(i) for i in ("ei1", "ei2", "ei3", "ei3a", "measurement_monotonicity")])
         code, out, err = run(capsys, "check", "--trials", "1")
         assert code == expected
         assert f"{violated},1,1," in out

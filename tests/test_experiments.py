@@ -29,6 +29,7 @@ from qentropy.experiments import (
     uniform_curve_interpolation,
     Certificate,
 )
+from qentropy.entropy import _excess_rows
 from qentropy.states import _ginibre, _product_spectra, _spectra
 
 
@@ -164,10 +165,12 @@ class TestProductSpectra:
         (a, p), (b, q) = (experiments._hs_states(g) for g in _ginibre(gens(), *dims))
         kron = _spectra(np.linalg.eigvalsh([np.kron(x, y) for x, y in zip(a, b)]))
         assert np.max(np.abs(_product_spectra(p, q) - kron)) <= 1e-14
-        lhs, rhs = experiments._ei2(gens(), dims)
-        assert np.array_equal(lhs, experiments._total(p) + experiments._total(q))
+        [(lhs, rhs)] = experiments._pass([experiments._ei2(gens(), dims)])
+        n, m = dims
+        assert np.array_equal(lhs, (s0_exact(n) + _excess_rows(p))
+                              + (s0_exact(m) + _excess_rows(q)))
         # S(A x B) magnifies the 1e-14 eigenvalue differences about tenfold
-        assert np.max(np.abs(rhs - experiments._total(kron))) <= 1e-13
+        assert np.max(np.abs(rhs - (s0_exact(n * m) + _excess_rows(kron)))) <= 1e-13
 
 
 # Margins re-derived by the per-trial loop that preceded the batched trials,
@@ -216,21 +219,21 @@ class TestCertificateReverify:
 
 class TestBlocks:
     def test_block_size_does_not_change_results(self, monkeypatch):
+        # by default the 2x2 and 5x5 runs have blocks of unequal size (all 60
+        # trials, and 52 + 8) and the passes mix kinds; with _BLOCK = 7 each
+        # pass is one block of 7
         def run():
-            suite = inequality_suite(20, [(2, 2), (2, 3)], RngStream(223, 1))
-            scan = measurement_conjecture_scan(20, 3, RngStream(223, 1))
-            return suite + [scan], fig1_random_mixtures(5, 20, RngStream(223, 1))
+            ids = ("ei1", "ei2", "ei3", "ei3a", "measurement_monotonicity")
+            reports = experiments.run_checks(ids, 60, [(2, 2), (2, 3), (5, 5)], 5,
+                                             RngStream(223, 1))
+            return reports, fig1_random_mixtures(5, 20, RngStream(223, 1))
 
         default_reports, default_rows = run()
         monkeypatch.setattr(experiments, "_BLOCK", 7)
         reports, rows = run()
-        for a, b in zip(default_reports, reports):
-            assert (a.inequality_id, a.trials, a.violations) == \
-                (b.inequality_id, b.trials, b.violations)
-            assert b.worst_margin == pytest.approx(a.worst_margin, abs=1e-15)
-        for a, b in zip(default_rows, rows):
-            assert b.s_h == pytest.approx(a.s_h, abs=1e-15)
-            assert b.s_f == pytest.approx(a.s_f, abs=1e-15)
+        assert [r.trials for r in reports] == [180, 180, 360, 49, 60]
+        assert reports == default_reports
+        assert rows == default_rows
 
     def test_empty_runs(self):
         reports = inequality_suite(0, [(2, 2)], RngStream(227))
