@@ -48,8 +48,7 @@ MARGIN_TOL = 1e-9
 # 500 samples, worst observed deviation 0.0593); not a theory number
 FIG1_ENVELOPE = 0.065
 
-# substream tags; child index = tag * _TAG_STRIDE + trial
-_TAG_STRIDE = 1_000_003
+# substream tags; child index = tag << 64 | trial, the tag in the counter's top word
 TAG_EI1 = 1
 TAG_EI2 = 2
 TAG_EI3_PRODUCT = 3
@@ -122,7 +121,7 @@ def random_density_hs(dim: int, gen: np.random.Generator) -> DensityMatrix:
 
 
 def _substream(tag: int, trial: int) -> int:
-    return tag * _TAG_STRIDE + trial
+    return tag << 64 | trial
 
 
 def _blocks(first: int, count: int, dim: int):

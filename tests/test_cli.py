@@ -368,14 +368,14 @@ class TestExperimentCommands:
 
     def test_fig1_draws_pinned(self, capsys):
         # field 4 (s_h) of every data row of `fig1 --seed 11`, recorded when
-        # each trial still built its own SeedSequence: the random-mixture
-        # rows pin the Dirichlet draws of 500 substreams
+        # substreams became counter offsets of one Philox key: the
+        # random-mixture rows pin the Dirichlet draws of 500 substreams
         code, out, _ = run(capsys, "fig1", "--seed", "11")
         rows = out.splitlines()[1:]
         assert (code, len(rows)) == (0, 564)
         column = "".join(row.split(",")[3] + "\n" for row in rows)
         assert hashlib.sha256(column.encode()).hexdigest() == \
-            "32fcf69907219279b257a068935203f95b07dea7d8a1735d98aca3410a651851"
+            "99f6c69fd0a4b6e346262802d0190a97e407d90c4f33b1c91ccacfe445e0aa34"
 
     def test_check_builds_no_seed_sequence_or_certificate_per_trial(self, capsys,
                                                                     monkeypatch):
@@ -400,10 +400,10 @@ class TestExperimentCommands:
             code, out, _ = run(capsys, "check", "--trials", trials, "--seed", "3")
             assert code == 0 and ",0," in out
             seen.append(dict(calls))
-        # a constant number of generators per run, whatever the trial count,
+        # one key and one bit generator per run, whatever the trial count,
         # and no certificate without a violation
         assert seen[0] == seen[1]
-        assert seen[1].get("SeedSequence", 0) + seen[1].get("Philox", 0) <= 20
+        assert (seen[1].get("SeedSequence"), seen[1].get("Philox")) == (1, 1)
         assert "Certificate" not in seen[1]
 
     def test_check_runs_each_step_once_per_shape(self, capsys, monkeypatch):

@@ -173,20 +173,21 @@ class TestProductSpectra:
         assert np.max(np.abs(rhs - (s0_exact(n * m) + _excess_rows(kron)))) <= 1e-13
 
 
-# Margins re-derived by the per-trial loop that preceded the batched trials,
-# from seed 2024, stream 3: every random kind, trials > 0, two dims each.
-# They pin the substream layout (tag * stride + trial, draw order per trial).
+# Margins re-derived from seed 2024, stream 3 when substreams became counter
+# offsets of one key: every random kind, trials > 0, two dims each.  They
+# pin the substream layout (index tag << 64 | trial, so counter words
+# (0, 0, trial, tag + 1)) and the draw order per trial.
 RECORDED_MARGINS = [
-    ("ei1", TAG_EI1, 5, (2, 3), 1.0360676327013711),
-    ("ei1", TAG_EI1, 17, (3, 3), 1.0491248893665395),
-    ("ei2", TAG_EI2, 4, (2, 2), 0.04028910633224281),
-    ("ei2", TAG_EI2, 9, (3, 2), 0.05685322034713214),
-    ("ei3", TAG_EI3_PRODUCT, 3, (2, 3), 0.020681031387449117),
-    ("ei3", TAG_EI3_PRODUCT, 12, (3, 3), 0.06428210259523193),
-    ("ei3", TAG_EI3_CORRELATED, 11, (3, 3), 0.18222060061571244),
-    ("ei3", TAG_EI3_CORRELATED, 1, (2, 2), 0.12019804860649563),
-    ("measurement_monotonicity", TAG_MEASUREMENT, 7, (3,), 0.03878139672087633),
-    ("measurement_monotonicity", TAG_MEASUREMENT, 2, (4,), 0.06830813288021287),
+    ("ei1", TAG_EI1, 5, (2, 3), 1.0272087528702938),
+    ("ei1", TAG_EI1, 17, (3, 3), 1.0562010096934218),
+    ("ei2", TAG_EI2, 4, (2, 2), 0.04570815396365657),
+    ("ei2", TAG_EI2, 9, (3, 2), 0.07553064290433897),
+    ("ei3", TAG_EI3_PRODUCT, 3, (2, 3), 0.042636915788081264),
+    ("ei3", TAG_EI3_PRODUCT, 12, (3, 3), 0.043343497724434854),
+    ("ei3", TAG_EI3_CORRELATED, 11, (3, 3), 0.18473510851460134),
+    ("ei3", TAG_EI3_CORRELATED, 1, (2, 2), 0.13210718194858942),
+    ("measurement_monotonicity", TAG_MEASUREMENT, 7, (3,), 0.02404872137712344),
+    ("measurement_monotonicity", TAG_MEASUREMENT, 2, (4,), 0.055638660676164076),
 ]
 
 
@@ -211,6 +212,15 @@ class TestCertificateReverify:
     def test_recorded_margins_still_reverify(self, ineq, tag, trial, dims, margin):
         cert = Certificate(ineq, tag, trial, 2024, 3, dims, 0.0, 0.0, 0.0)
         assert reverify_certificate(cert) == pytest.approx(margin, abs=1e-12)
+
+    def test_tags_do_not_share_substreams(self):
+        # with the index tag * 1_000_003 + trial, ei1's trial 1_000_003 drew
+        # ei2's trial 0
+        assert experiments._substream(TAG_EI1, 1_000_003) != experiments._substream(TAG_EI2, 0)
+        rng = RngStream(2024, 3)
+        first = [rng.child(experiments._substream(tag, trial)).standard_normal()
+                 for tag, trial in ((TAG_EI1, 1_000_003), (TAG_EI2, 0))]
+        assert first[0] != first[1]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
-"""Substream keys: RngStream derives numpy's SeedSequence keys itself.
+"""Substreams: one Philox key per RngStream, the counter offset per substream.
 
-Substream i of RngStream(seed, stream) must stay the Philox stream keyed by
-np.random.SeedSequence(seed, spawn_key=(stream, i)), since every recorded
+Substream i of RngStream(seed, stream) must stay the Philox keyed like
+generator(), by np.random.SeedSequence(seed, spawn_key=(stream,)), with its
+counter set to (0, 0, i mod 2^64, i // 2^64 + 1), since every recorded
 certificate, fig1 scatter and mc chunk depends on it.
 """
 
@@ -11,60 +12,48 @@ import pytest
 from qentropy import RngStream
 
 
-def seed_sequence_key(seed, stream, index):
-    return np.random.SeedSequence(seed, spawn_key=(stream, index)).generate_state(2, np.uint64)
-
-
-def seed_sequence_generator(seed, stream, index):
-    ss = np.random.SeedSequence(seed, spawn_key=(stream, index))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def random_triples(count):
-    gen = np.random.default_rng(2024)
-    for _ in range(count):
-        # magnitudes from 0 to about 2^200: one to seven uint32 words
-        seed, stream, index = (int(gen.integers(0, 2**62)) >> int(gen.integers(0, 63))
-                               << int(gen.integers(0, 140)) for _ in range(3))
-        yield seed, stream, index
-
-
-EDGE_TRIPLES = [
-    (0, 0, 0),
-    (0, 3, 0),
-    (0, 1, 2**32),
-    (2**32, 5, 7),
-    (2**32 - 1, 2**32 - 1, 2**32 - 1),
-    (2**64 + 3, 2, 2**40 + 11),
-    (2**128 + 1, 0, 6 * 1_000_003 + 499),  # a seed longer than the pool
-]
-
-
-class TestKeys:
-    @pytest.mark.parametrize("seed,stream,index", EDGE_TRIPLES)
-    def test_edge_triples_match_seed_sequence(self, seed, stream, index):
-        key = np.array(RngStream(seed, stream).key(index), dtype=np.uint64)
-        assert np.array_equal(key, seed_sequence_key(seed, stream, index))
-
-    def test_random_triples_match_seed_sequence(self):
-        for seed, stream, index in random_triples(2000):
-            key = np.array(RngStream(seed, stream).key(index), dtype=np.uint64)
-            assert np.array_equal(key, seed_sequence_key(seed, stream, index)), \
-                (seed, stream, index)
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            RngStream(-1).key(0)
+def philox_at(seed, stream, counter):
+    """A fresh Philox keyed like RngStream(seed, stream), at `counter`."""
+    key = np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)
+    bitgen = np.random.Philox(0)
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": np.array(counter, np.uint64), "key": key},
+                    "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
 
 
 class TestSubstreams:
-    @pytest.mark.parametrize("seed,stream,index", EDGE_TRIPLES[:4])
-    def test_child_draws_match_seed_sequence(self, seed, stream, index):
+    def test_substreams_and_generator_differ(self):
+        # generator() is the same key at counter 0, whose top word no
+        # substream has
+        rng = RngStream(5, 1)
+        first = [g.standard_normal() for g in (rng.generator(), rng.child(0), rng.child(1))]
+        assert len(set(first)) == 3
+        assert first[0] == philox_at(5, 1, [0, 0, 0, 0]).standard_normal()
+
+    @pytest.mark.parametrize("seed,stream,index,counter", [
+        (0, 0, 0, [0, 0, 0, 1]),
+        (5, 1, 7, [0, 0, 7, 1]),
+        (2**64 + 3, 2, 2**64 - 1, [0, 0, 2**64 - 1, 1]),
+        (17, 0, 3 << 64 | 11, [0, 0, 11, 4]),
+        (2**128 + 1, 4, 2**127 - 1, [0, 0, 2**64 - 1, 2**63]),
+    ])
+    def test_child_draws_match_philox_set_by_hand(self, seed, stream, index, counter):
         ours = RngStream(seed, stream).child(index)
-        theirs = seed_sequence_generator(seed, stream, index)
+        theirs = philox_at(seed, stream, counter)
         assert np.array_equal(ours.standard_normal(9), theirs.standard_normal(9))
         assert np.array_equal(ours.integers(0, 2**32, 5, dtype=np.uint32),
                               theirs.integers(0, 2**32, 5, dtype=np.uint32))
+
+    @pytest.mark.parametrize("index", [-1, 2**127, 2**200])
+    def test_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError):
+            RngStream(5, 1).child(index)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            RngStream(-1).child(0)
 
     def test_rekeyed_generator_drops_buffered_uint32(self):
         # a single uint32 draw leaves half of a 64-bit output buffered
