@@ -32,13 +32,12 @@ from .errors import (
     QentropyError,
     TraceDeviationError,
 )
-from .montecarlo import Histogram, McEstimate, mc_density_histogram, mc_entropy_estimate
+from .montecarlo import McEstimate, mc_entropy_estimate
 from .rng import DEFAULT_SEED, RngStream
 from .states import (
     DensityMatrix,
     Spectrum,
     eig_hermitian,
-    haar_unitary,
     partial_trace,
     projective_update,
     spectrum_from_values,

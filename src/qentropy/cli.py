@@ -46,6 +46,10 @@ _Z_MIN_RELATIVE_STDERR = 1e-12
 # N x N arrays.  Checked before anything is allocated, so that an absurd
 # dimension gets a typed error, not a MemoryError.
 _MAX_MATRIX_DIM = 8192
+# The same 2^30 bytes bound fig1's --dim (under 64 floats per entry: the S_F
+# terms and the draw) and pdensity's --grid (the grid and its densities).
+_MAX_FIG1_DIM = 16 * _MAX_MATRIX_DIM ** 2 // (64 * 8)
+_MAX_GRID = 16 * _MAX_MATRIX_DIM ** 2 // (2 * 8)
 
 # pdensity formats this many rows per write, so memory stays flat in --grid
 _CSV_BLOCK_ROWS = 4096
@@ -101,11 +105,14 @@ def _require_at_least(flag: str, value: int, low: int):
         raise _CliError(f"{flag} must be at least {low}, got {value}", EXIT_PARSE)
 
 
+def _require_fits(what: str, size: int, limit: int, held: str):
+    if size > limit:
+        raise DimensionMismatchError(f"{what} {size} is above {limit}: {held} would take "
+                                     f"over 1 GiB")
+
+
 def _require_matrix_fits(what: str, dim: int):
-    if dim > _MAX_MATRIX_DIM:
-        raise DimensionMismatchError(
-            f"{what} {dim} is above {_MAX_MATRIX_DIM}: its dense complex matrix "
-            f"would take over 1 GiB")
+    _require_fits(what, dim, _MAX_MATRIX_DIM, "its dense complex matrix")
 
 
 def _fmt(args, value: float) -> str:
@@ -162,6 +169,7 @@ def cmd_mc(args) -> int:
 
 def cmd_pdensity(args) -> int:
     _require_at_least("--grid", args.grid, 1)
+    _require_fits("--grid", args.grid, _MAX_GRID, "the grid and its densities")
     spec = _load_spectrum(args)
     curve = density_curve(spec, args.grid)
     with _out_stream(args) as out:
@@ -176,6 +184,7 @@ def cmd_pdensity(args) -> int:
 def cmd_fig1(args) -> int:
     _require_at_least("--count", args.count, 0)
     _require_at_least("--max-n", args.max_n, 0)
+    _require_fits("--dim", args.dim, _MAX_FIG1_DIM, "the S_F terms of one spectrum")
     seed = _resolve_seed(args)
     curve = experiments.fig1_uniform_curve(args.max_n)
     dots = experiments.fig1_random_mixtures(args.dim, args.count, RngStream(seed))
@@ -217,7 +226,7 @@ def cmd_check(args) -> int:
     _require_at_least("--trials", args.trials, 0)
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
-    known = {"ei1", "ei2", "ei3", "ei3a", "measurement_monotonicity"}
+    known = set(experiments.CHECK_IDS)
     wanted = set(args.ids) if args.ids else known
     if wanted - known:
         raise _CliError(f"unknown check ids: {sorted(wanted - known)}", EXIT_PARSE)
@@ -235,9 +244,7 @@ def cmd_check(args) -> int:
                   f"seed={c.seed} stream={c.stream_id} dims={c.dims} "
                   f"lhs={c.lhs:.12g} rhs={c.rhs:.12g} margin={c.margin:.12g}",
                   file=sys.stderr)
-    # ei3 is exploratory: its violations are findings, reported above but
-    # never a failed run
-    asserted = {"ei1", "ei2", "ei3a", "measurement_monotonicity"}
+    asserted = known - experiments.EXPLORATORY
     violated = any(r.violations for r in reports if r.inequality_id in asserted)
     return EXIT_VIOLATION if violated else 0
 
@@ -318,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="inequality suites and conjecture scans")
     _add_seed_args(p)
     p.add_argument("ids", nargs="*",
-                   help="subset of {ei1, ei2, ei3, ei3a, measurement_monotonicity} "
-                        "(default: all)")
+                   help=f"subset of {{{', '.join(experiments.CHECK_IDS)}}} (default: all)")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--dims", default="2x2,2x3,3x3",
                    help="comma-separated NxM subsystem dimensions")

@@ -35,6 +35,7 @@ from .states import (
     _dephase_stack,
     _ginibre,
     _haar_from_normals,
+    _normalised_rows,
     _partial_trace_stack,
     _product_spectra,
     _spectra,
@@ -42,6 +43,11 @@ from .states import (
 )
 
 MARGIN_TOL = 1e-9
+
+# the check ids, in report order; violations of an exploratory id are
+# findings, reported but never a failed run
+CHECK_IDS = ("ei1", "ei2", "ei3", "ei3a", "measurement_monotonicity")
+EXPLORATORY = frozenset({"ei3"})
 
 # regression bound for the random-mixture scatter around the uniform curve,
 # recorded from the first run of the default config (dim 8, flat Dirichlet,
@@ -141,13 +147,6 @@ def fig1_uniform_curve(max_n: int) -> list[Fig1Row]:
     return rows
 
 
-def uniform_curve_interpolation(s_h: float, max_n: int = 64) -> float:
-    """Linear interpolation of the uniform-mixture excess at a given s_h."""
-    xs = np.array([math.log(n) for n in range(1, max_n + 1)])
-    ys = np.array([uniform_mixture_excess(n) for n in range(1, max_n + 1)])
-    return float(np.interp(s_h, xs, ys))
-
-
 def _flat_dirichlet(gens, dim: int) -> np.ndarray:
     """One flat-Dirichlet draw of length dim per generator, as rows.
 
@@ -165,10 +164,7 @@ def fig1_random_mixtures(dim: int, count: int, rng: RngStream) -> list[Fig1Row]:
     rows = []
     gens = rng.children(_substream(TAG_FIG1_MIXTURES, t) for t in range(count))
     for block in _blocks(0, count, dim):
-        draws = _flat_dirichlet(islice(gens, len(block)), dim)
-        # sorted and normalised as spectrum_from_values does it, row by row
-        p = np.sort(draws, axis=1)[:, ::-1]
-        p = p / np.array([math.fsum(row) for row in p.tolist()])[:, None]
+        p = _normalised_rows(_flat_dirichlet(islice(gens, len(block)), dim))
         rows += [Fig1Row(s_h=s_h, s_f=s_f, label="random_mixture", n=0, dim=dim)
                  for s_h, s_f in zip(_shannon_rows(p).tolist(), _excess_rows(p).tolist())]
     return rows
@@ -342,8 +338,7 @@ def _run(runs, count: int, rng: RngStream):
 
 
 def run_checks(ids, trials: int, dims, dim: int, rng: RngStream) -> list[InequalityReport]:
-    """The reports of the wanted check ids, in the order ei1, ei2, ei3,
-    ei3a, measurement_monotonicity.
+    """The reports of the wanted check ids, in the order of CHECK_IDS.
 
     Only the random kinds of the wanted ids run, all in one _run: `trials`
     trials of ei1, ei2 and ei3 per (N, M) of dims, and of
@@ -351,8 +346,7 @@ def run_checks(ids, trials: int, dims, dim: int, rng: RngStream) -> list[Inequal
     on its kind and index, so a subset of ids prints the rows of a full
     run.  ei3a is the fixed grid N, M = 2..8.
     """
-    reports = {i: InequalityReport(i) for i in
-               ("ei1", "ei2", "ei3", "ei3a", "measurement_monotonicity") if i in ids}
+    reports = {i: InequalityReport(i) for i in CHECK_IDS if i in ids}
     runs = [(reports[i], tag, di * trials, tuple(nm)) for di, nm in enumerate(dims)
             for i, tag in _TRIALS if i in reports and tag != TAG_MEASUREMENT]
     if "measurement_monotonicity" in reports:

@@ -32,16 +32,6 @@ class McEstimate:
     seed: int
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Empirical density of the outcome weight s on [0, 1]."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-    densities: np.ndarray
-    samples: int
-
-
 def _f(s: np.ndarray) -> np.ndarray:
     """-s ln s elementwise, with f(0) = 0."""
     return -s * np.log(s, out=np.zeros_like(s), where=s > 0.0)
@@ -52,8 +42,7 @@ def _chunk_size(entries_per_sample: int) -> int:
     return max(1, min(CHUNK_SAMPLES, _CHUNK_ENTRIES // entries_per_sample))
 
 
-def _run_chunks(samples: int, rng: RngStream, workers: int, fn,
-                chunk: int = CHUNK_SAMPLES) -> list:
+def _run_chunks(samples: int, rng: RngStream, workers: int, fn, chunk: int) -> list:
     """fn(count, rng.child(i)) for each chunk i of `samples`, in chunk order."""
     sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
 
@@ -162,23 +151,3 @@ def mc_entropy_estimate(spectrum: Spectrum, samples: int, rng: RngStream,
     n, mean, m2 = _pool(_run_chunks(samples, rng, workers, chunk_stats, chunk))
     std = math.sqrt(m2 / (n - 1))
     return McEstimate(mean=mean, stderr=std / math.sqrt(n), samples=n, seed=rng.seed)
-
-
-def mc_density_histogram(spectrum: Spectrum, samples: int, bins: int, rng: RngStream,
-                         workers: int = 1) -> Histogram:
-    """Empirical histogram of the outcome weight s over random pure states."""
-    if samples < 10_000:
-        raise InsufficientSamplesError(f"need >= 10^4 samples, got {samples}")
-    if bins < 10:
-        raise InsufficientSamplesError(f"need >= 10 bins, got {bins}")
-    p = spectrum.values
-    edges = np.linspace(0.0, 1.0, bins + 1)
-
-    def chunk_counts(count, gen):
-        return np.histogram(_sphere_weights(p, count, gen), bins=edges)[0]
-
-    counts = np.sum(_run_chunks(samples, rng, workers, chunk_counts, _chunk_size(len(p))),
-                    axis=0)
-    widths = np.diff(edges)
-    densities = counts / (samples * widths)
-    return Histogram(edges=edges, counts=counts, densities=densities, samples=samples)

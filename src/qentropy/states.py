@@ -1,7 +1,7 @@
 """Density matrices, spectra, measurement updates and Haar sampling.
 
-Everything here is a pure function of its inputs; sampling takes an
-explicit RngStream so there is no hidden global state.
+Everything here is a pure function of its inputs; sampling takes
+explicit random generators so there is no hidden global state.
 """
 
 import math
@@ -18,7 +18,6 @@ from .errors import (
     NonHermitianError,
     TraceDeviationError,
 )
-from .rng import RngStream
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -90,12 +89,14 @@ def spectrum_from_values(values) -> Spectrum:
         raise NegativeEigenvalueError(f"negative probability {v.min():g}")
     if abs(v.sum() - 1.0) > TRACE_TOL:
         raise TraceDeviationError(f"probabilities sum to {v.sum():.15g}, not 1")
-    v = np.clip(v, 0.0, None)
-    v = np.sort(v)[::-1]
-    # the exactly rounded sum makes the result independent of the input
-    # order and of zero padding
-    v = v / math.fsum(v.tolist())
-    return Spectrum(v)
+    return Spectrum(_normalised_rows(v[None])[0])
+
+
+def _normalised_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of a (k, n) array clamped at 0, sorted descending and divided by
+    their exactly rounded sums, so no row depends on its order or zero padding."""
+    v = np.sort(np.clip(v, 0.0, None), axis=1)[:, ::-1]
+    return v / np.array([math.fsum(row) for row in v.tolist()])[:, None]
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -158,15 +159,6 @@ def eig_hermitian(rho: DensityMatrix) -> tuple[Spectrum, np.ndarray]:
     return rho.spectrum, evecs[:, ::-1]
 
 
-def haar_unitary(dim: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed random unitary (Ginibre + QR with phase correction).
-
-    The phase correction of R's diagonal is what makes the distribution
-    unitarily invariant; plain QR of a Gaussian matrix is not Haar.
-    """
-    return _haar_from_normals(_ginibre([rng.generator()], dim)[0])[0]
-
-
 def _ginibre(gens, *dims: int) -> list[np.ndarray]:
     """Complex Ginibre matrices, one (k, n, n) stack per n in dims, for the
     k generators of the iterable gens.
@@ -190,7 +182,8 @@ def _ginibre(gens, *dims: int) -> list[np.ndarray]:
 
 
 def _haar_from_normals(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a (k, n, n) Ginibre stack: QR with phase correction."""
+    """Haar unitaries from a (k, n, n) Ginibre stack: QR with the phases of
+    R's diagonal moved into Q, without which QR is not Haar."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]

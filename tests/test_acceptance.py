@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from references import uniform_curve_at
 
 from qentropy import (
     EXCESS_BOUND,
@@ -29,7 +30,6 @@ from qentropy.experiments import (
     inequality_suite,
     measurement_conjecture_scan,
     reverify_certificate,
-    uniform_curve_interpolation,
 )
 
 
@@ -147,7 +147,7 @@ def test_criterion_7_fig1_reproduction():
     sh = [r.s_h for r in curve]
     ok = all(b > a for a, b in zip(sf, sf[1:])) and all(b > a for a, b in zip(sh, sh[1:]))
     rows = fig1_random_mixtures(8, 500, RngStream(317))
-    worst_env = max(abs(r.s_f - uniform_curve_interpolation(r.s_h)) for r in rows)
+    worst_env = max(abs(r.s_f - uniform_curve_at(r.s_h)) for r in rows)
     ok = ok and worst_env <= ENVELOPE
     for n, exact, asym in fig1_inset(200)[4:]:
         ok = ok and -1 / (8 * n * n) < exact - asym <= 0

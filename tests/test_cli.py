@@ -7,14 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from references import haar_unitary, weight_histogram
 
 from qentropy import (
     DimensionMismatchError,
     RngStream,
     density_curve,
     eig_hermitian,
-    haar_unitary,
-    mc_density_histogram,
     spectrum_from_values,
 )
 from qentropy.cli import _require_matrix_fits, build_parser, main
@@ -306,11 +305,10 @@ class TestPdensityCommand:
         assert code == 0
         table = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
         s, p = table[:, 0], table[:, 1]
-        hist = mc_density_histogram(spectrum_from_values([0.4, 0.4, 0.2]), 200_000, 20,
-                                    RngStream(173))
-        widths = np.diff(hist.edges)
-        se = np.sqrt(hist.counts.clip(min=1)) / (hist.samples * widths)
-        for lo, hi, d, e in zip(hist.edges[:-1], hist.edges[1:], hist.densities, se):
+        edges, counts, densities = weight_histogram(spectrum_from_values([0.4, 0.4, 0.2]),
+                                                    200_000, 20, RngStream(173))
+        se = np.sqrt(counts.clip(min=1)) / (200_000 * np.diff(edges))
+        for lo, hi, d, e in zip(edges[:-1], edges[1:], densities, se):
             # P is linear on each bin (the knots 0.2 and 0.4 are bin edges),
             # so its mean over the grid points inside a bin is the bin average
             inside = (s > lo + 1e-9) & (s < hi - 1e-9)
@@ -544,12 +542,18 @@ class TestExperimentCommands:
         ["random-state", "--dim", str(2 ** 62)],
         ["check", "measurement_monotonicity", "--dim", str(2 ** 62), "--trials", "1"],
         ["check", "ei1", "--dims", f"{2 ** 31}x{2 ** 31}", "--trials", "1"],
+        ["fig1", "--dim", str(2 ** 62), "--count", "1"],
+        # pdensity checks --grid before it reads a state
+        ["pdensity", "--grid", str(2 ** 62)],
     ])
     def test_dimension_over_memory_cap_exit_3(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("validation error:")
-        assert "is above 8192" in err
+        # fig1 and pdensity build no dense matrix: the same 2^30 bytes cap
+        # the S_F terms of a spectrum and the grid
+        cap = {"fig1": 2 ** 21, "pdensity": 2 ** 26}.get(argv[0], 8192)
+        assert f"is above {cap}" in err
 
     # a spectrum is zero-padded to at most 8192; pdensity is not run at 8193,
     # where an uncapped B-spline would build N x N arrays of about 1 GiB

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from divided_difference import excess_by_table, two_state_excess
+from references import haar_unitary
 
 from qentropy import (
     DegenerateSpectrumError,
@@ -21,7 +22,6 @@ from qentropy import (
     eig_hermitian,
     entropy_by_quadrature,
     excess_entropy,
-    haar_unitary,
     identity_residuals,
     kernel_integral,
     s0_asymptotic,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from references import uniform_curve_at
 
 from qentropy import (
     EXCESS_BOUND,
@@ -26,7 +27,6 @@ from qentropy.experiments import (
     measurement_conjecture_scan,
     random_density_hs,
     reverify_certificate,
-    uniform_curve_interpolation,
     Certificate,
 )
 from qentropy.entropy import _excess_rows
@@ -63,7 +63,7 @@ class TestFig1RandomMixtures:
         from qentropy.experiments import FIG1_ENVELOPE
         rows = fig1_random_mixtures(8, 200, RngStream(173))
         for r in rows:
-            assert abs(r.s_f - uniform_curve_interpolation(r.s_h)) <= FIG1_ENVELOPE
+            assert abs(r.s_f - uniform_curve_at(r.s_h)) <= FIG1_ENVELOPE
 
     def test_deterministic(self):
         a = fig1_random_mixtures(4, 10, RngStream(9, 2))
