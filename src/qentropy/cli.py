@@ -42,9 +42,10 @@ _Z_MIN_RELATIVE_STDERR = 1e-12
 
 # The largest dimension of a dense matrix a command may be asked to build:
 # a complex matrix of dimension 8192 takes 2^30 bytes.  It also caps the
-# --dim a spectrum is zero-padded to, since pdensity's B-spline builds
-# N x N arrays.  Checked before anything is allocated, so that an absurd
-# dimension gets a typed error, not a MemoryError.
+# --dim a spectrum is zero-padded to, and any state of pdensity (two N x N
+# B-spline arrays) and mc --mode basis (an N x N draw per sample).  Checked
+# before anything that size is allocated, so that an absurd dimension gets
+# a typed error, not a MemoryError.
 _MAX_MATRIX_DIM = 8192
 # The same 2^30 bytes bound fig1's --dim (under 64 floats per entry: the S_F
 # terms and the draw) and pdensity's --grid (the grid and its densities).
@@ -90,10 +91,7 @@ def _load_spectrum(args) -> Spectrum:
             raise _CliError(f"--dim {dim} smaller than spectrum length {spec.dim}",
                             EXIT_VALIDATION)
         if dim > spec.dim:
-            if dim > _MAX_MATRIX_DIM:
-                raise DimensionMismatchError(
-                    f"--dim {dim} is above {_MAX_MATRIX_DIM}, the largest dimension "
-                    f"a spectrum is zero-padded to")
+            _require_matrix_fits("--dim", dim)
             padded = np.concatenate([spec.values, np.zeros(dim - spec.dim)])
             spec = spectrum_from_values(padded)
         return spec
@@ -149,6 +147,8 @@ def cmd_mc(args) -> int:
     _require_at_least("--precision", args.precision, 0)
     _require_at_least("--workers", args.workers, 1)
     spec = _load_spectrum(args)
+    if args.mode == "basis":
+        _require_matrix_fits("the state's dimension", spec.dim)
     seed = _resolve_seed(args)
     est = mc_entropy_estimate(spec, args.samples, RngStream(seed), mode=args.mode,
                               workers=args.workers)
@@ -171,6 +171,7 @@ def cmd_pdensity(args) -> int:
     _require_at_least("--grid", args.grid, 1)
     _require_fits("--grid", args.grid, _MAX_GRID, "the grid and its densities")
     spec = _load_spectrum(args)
+    _require_matrix_fits("the state's dimension", spec.dim)
     curve = density_curve(spec, args.grid)
     with _out_stream(args) as out:
         out.write("s,p\n")

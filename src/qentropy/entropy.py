@@ -22,7 +22,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidDistributionError,
 )
-from .states import DensityMatrix, Spectrum
+from .states import DensityMatrix, Spectrum, _outcome_stack
 
 EULER_GAMMA = 0.5772156649015329
 EXCESS_BOUND = 1.0 - EULER_GAMMA
@@ -83,14 +83,11 @@ def von_neumann(rho: DensityMatrix) -> float:
 
 def conditional_entropy(rho: DensityMatrix, basis: np.ndarray) -> float:
     """Shannon entropy of the outcome probabilities <a|rho|a> for the
-    columns |a> of the unitary `basis`."""
-    basis = np.asarray(basis, dtype=complex)
-    if basis.shape != (rho.dim, rho.dim):
-        raise DimensionMismatchError(f"basis shape {basis.shape} for a state of dim {rho.dim}")
-    probs = np.einsum("ia,ij,ja->a", basis.conj(), rho.matrix, basis).real
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    return shannon(probs)
+    columns |a> of `basis`, which must be an N x N unitary: any other
+    basis raises DimensionMismatchError or IncompleteProjectorSetError,
+    as in projective_update."""
+    probs = np.clip(_outcome_stack(rho.matrix[None], [basis])[0], 0.0, None)
+    return shannon(probs / probs.sum())
 
 
 @lru_cache(maxsize=1024)

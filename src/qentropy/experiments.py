@@ -4,18 +4,19 @@ the entropy inequality suites, and the projective-measurement check.
 Every random trial draws from its own substream, so any violation can be
 re-generated from the (seed, stream_id, tag, trial) recorded in its
 certificate.  Trials run in blocks of one kind and dims, and `check`
-packs the blocks of all its kinds and dims into passes, each bounded like
-a block (so a small check is one pass).  In a pass each trial
-still draws from its own substream; then one _hs_states call per matrix
-size validates the states, one eigvalsh per matrix size gives the reduced
-and dephased spectra, and one _excess_rows call per spectrum width gives
-S_F.  Each step acts on every matrix or row on its own, so the grouping
-changes no digit.
+packs the blocks of all its kinds and dims, run after run, into passes,
+each bounded like a block (so a small check is one pass).  In a pass each
+trial still draws from its own substream; then one _hs_states call per
+matrix size validates the states, one eigvalsh per matrix size gives the
+reduced spectra, and one _excess_rows call per spectrum width gives S_F.
+A measurement needs no eigvalsh of its own: the state after it has the
+outcome distribution diag(U† rho U) as its spectrum.  Each step acts on
+every matrix or row on its own, so the grouping changes no digit.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice, zip_longest
+from itertools import islice
 
 import numpy as np
 
@@ -32,10 +33,10 @@ from .states import (
     DensityMatrix,
     Spectrum,
     _dagger,
-    _dephase_stack,
     _ginibre,
     _haar_from_normals,
     _normalised_rows,
+    _outcome_stack,
     _partial_trace_stack,
     _product_spectra,
     _spectra,
@@ -48,11 +49,6 @@ MARGIN_TOL = 1e-9
 # findings, reported but never a failed run
 CHECK_IDS = ("ei1", "ei2", "ei3", "ei3a", "measurement_monotonicity")
 EXPLORATORY = frozenset({"ei3"})
-
-# regression bound for the random-mixture scatter around the uniform curve,
-# recorded from the first run of the default config (dim 8, flat Dirichlet,
-# 500 samples, worst observed deviation 0.0593); not a theory number
-FIG1_ENVELOPE = 0.065
 
 # substream tags; child index = tag << 64 | trial, the tag in the counter's top word
 TAG_EI1 = 1
@@ -102,15 +98,18 @@ class InequalityReport:
     worst_margin: float = math.inf
     certificates: list = field(default_factory=list)
 
-    def record(self, margin: float) -> bool:
-        """Count one trial; True if its margin is a violation, whose
-        certificate the caller then appends."""
+    def record(self, lhs: float, rhs: float, tag: int, trial: int, rng: RngStream,
+               dims) -> None:
+        """Count one trial, whose margin is rhs - lhs; a violation also
+        gets its certificate."""
+        margin = rhs - lhs
         self.trials += 1
         self.worst_margin = min(self.worst_margin, margin)
-        if margin >= -MARGIN_TOL:
-            return False
-        self.violations += 1
-        return True
+        if margin < -MARGIN_TOL:
+            self.violations += 1
+            self.certificates.append(Certificate(
+                self.inequality_id, tag, trial, rng.seed, rng.stream_id, dims,
+                lhs=lhs, rhs=rhs, margin=margin))
 
 
 def _hs_states(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,9 +228,11 @@ def _measurement(gens, dims):
     (dim,) = dims
     g, z = _ginibre(gens, dim, dim)
     [(rho, p)] = yield [g]
-    [s] = yield [_dephase_stack(rho, _haar_from_normals(z))]
-    f_p, f_s = yield [p, s]
-    yield s0_exact(dim) + f_p, s0_exact(dim) + f_s
+    # sigma = U diag(q) U† has spectrum q, the outcome distribution
+    q = _spectra(np.sort(_outcome_stack(rho, _haar_from_normals(z)), axis=1))
+    yield []
+    f_p, f_q = yield [p, q]
+    yield s0_exact(dim) + f_p, s0_exact(dim) + f_q
 
 
 # (inequality id, substream tag) -> trial
@@ -290,23 +291,23 @@ def _ei3a(dims):
 
 
 def _passes(runs, count: int):
-    """The blocks of the runs, as passes: lists of (run index, block).
+    """The blocks of the runs, run after run, as passes: lists of
+    (run, block).
 
-    Blocks are taken in turn, block 0 of every run, then block 1, and so
-    on.  A pass is bounded like a block, by _BLOCK trials and
-    _BLOCK_ENTRIES matrix entries, so it holds at most one block per run
-    and memory stays flat in the trial count.
+    A pass is bounded like a block, by _BLOCK trials and _BLOCK_ENTRIES
+    matrix entries, so memory stays flat in the trial count.
     """
-    steps = zip_longest(*(_blocks(first, count, math.prod(dims)) for _, _, first, dims in runs))
     batch, trials, entries = [], 0, 0
-    for i, block in ((i, block) for step in steps for i, block in enumerate(step) if block):
-        size = len(block) * math.prod(runs[i][3]) ** 2
-        if batch and (trials + len(block) > _BLOCK or entries + size > _BLOCK_ENTRIES):
-            yield batch
-            batch, trials, entries = [], 0, 0
-        batch.append((i, block))
-        trials += len(block)
-        entries += size
+    for run in runs:
+        _, _, first, dims = run
+        for block in _blocks(first, count, math.prod(dims)):
+            size = len(block) * math.prod(dims) ** 2
+            if batch and (trials + len(block) > _BLOCK or entries + size > _BLOCK_ENTRIES):
+                yield batch
+                batch, trials, entries = [], 0, 0
+            batch.append((run, block))
+            trials += len(block)
+            entries += size
     if batch:
         yield batch
 
@@ -315,26 +316,19 @@ def _run(runs, count: int, rng: RngStream):
     """For each (report, tag, first, dims) of runs, record trials
     first .. first + count - 1 of that kind into report.
 
-    The blocks of all runs go through _pass together, a pass at a time.
+    The blocks of all runs go through _pass together, a pass at a time,
+    in run order, so a report's certificates keep the order of its runs.
     All trials draw from one generator, re-keyed to the substream of each
-    trial in the order the passes take them.  A report's certificates keep
-    the order of its runs.
+    trial in that order.
     """
-    gens = rng.children(_substream(runs[i][1], t) for batch in _passes(runs, count)
-                        for i, block in batch for t in block)
-    found = [[] for _ in runs]
+    gens = rng.children(_substream(tag, t) for _, tag, first, _ in runs
+                        for t in range(first, first + count))
     for batch in _passes(runs, count):
-        results = _pass([_TRIALS[runs[i][0].inequality_id, runs[i][1]](
-            islice(gens, len(block)), runs[i][3]) for i, block in batch])
-        for (i, block), (lhs, rhs) in zip(batch, results):
-            report, tag, _, dims = runs[i]
+        results = _pass([_TRIALS[report.inequality_id, tag](islice(gens, len(block)), dims)
+                         for (report, tag, _, dims), block in batch])
+        for ((report, tag, _, dims), block), (lhs, rhs) in zip(batch, results):
             for t, left, right in zip(block, lhs.tolist(), rhs.tolist()):
-                if report.record(right - left):
-                    found[i].append(Certificate(
-                        report.inequality_id, tag, t, rng.seed, rng.stream_id, dims,
-                        lhs=left, rhs=right, margin=right - left))
-    for (report, *_), certs in zip(runs, found):
-        report.certificates += certs
+                report.record(left, right, tag, t, rng, dims)
 
 
 def run_checks(ids, trials: int, dims, dim: int, rng: RngStream) -> list[InequalityReport]:
@@ -356,11 +350,7 @@ def run_checks(ids, trials: int, dims, dim: int, rng: RngStream) -> list[Inequal
     if "ei3a" in reports:
         for n in range(2, 9):
             for m in range(2, 9):
-                lhs, rhs = _ei3a((n, m))
-                if reports["ei3a"].record(rhs - lhs):
-                    reports["ei3a"].certificates.append(Certificate(
-                        "ei3a", 0, 0, rng.seed, rng.stream_id, (n, m),
-                        lhs=lhs, rhs=rhs, margin=rhs - lhs))
+                reports["ei3a"].record(*_ei3a((n, m)), 0, 0, rng, (n, m))
 
     return list(reports.values())
 
@@ -384,7 +374,8 @@ def measurement_conjecture_scan(trials: int, dim: int, rng: RngStream) -> Inequa
     is a pinching of rho, so spec(sigma) is majorised by spec(rho) (Bhatia,
     Matrix Analysis, ch. II).  S_F is symmetric and concave, hence
     Schur-concave, and S_0(N) does not change, so S(sigma) >= S(rho).  A
-    violation means a fault in S_F or in the measurement update.
+    violation means a fault in S_F or in the outcome distribution
+    diag(U† rho U), which `check` takes as the spectrum of sigma.
     """
     [report] = run_checks(("measurement_monotonicity",), trials, (), dim, rng)
     return report

@@ -1,4 +1,4 @@
-"""Density matrices, spectra, measurement updates and Haar sampling.
+"""Density matrices, spectra, measurement outcomes and Haar sampling.
 
 Everything here is a pure function of its inputs; sampling takes
 explicit random generators so there is no hidden global state.
@@ -220,24 +220,28 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> Densi
     return validate_density(_partial_trace_stack(rho.matrix[None], dims, keep)[0])
 
 
+def _outcome_stack(rho: np.ndarray, basis) -> np.ndarray:
+    """Outcome probabilities q_a = <a|rho|a> of each state of a (k, n, n)
+    stack measured in the columns |a> of the matching unitary of `basis`:
+    the rows diag(U† rho U).
+
+    The projectors onto each unitary's columns must form a complete
+    orthogonal set, so a basis of another shape, or not unitary, is
+    rejected.
+    """
+    u = np.asarray(basis, dtype=complex)
+    if u.shape != rho.shape:
+        raise DimensionMismatchError(
+            f"basis shape {u.shape[1:]} for a state of dim {rho.shape[-1]}")
+    if np.max(np.abs(_dagger(u) @ u - np.eye(rho.shape[-1]))) > TRACE_TOL:
+        raise IncompleteProjectorSetError("measurement basis is not orthonormal")
+    return np.einsum("kia,kij,kja->ka", u.conj(), rho, u).real
+
+
 def projective_update(rho: DensityMatrix, basis: np.ndarray) -> DensityMatrix:
     """Post-measurement state sum_j P_j rho P_j, P_j the projector onto
-    column j of the unitary `basis`."""
-    basis = np.asarray(basis, dtype=complex)
-    if basis.shape != (rho.dim, rho.dim):
-        raise DimensionMismatchError(f"basis shape {basis.shape} for a state of dim {rho.dim}")
-    return validate_density(_dephase_stack(rho.matrix[None], basis[None])[0])
-
-
-def _dephase_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_j P_j rho P_j for the projectors P_j onto the columns of each u.
-
-    Computed as U diag(U† rho U) U†.  Each u must be unitary, so that the
-    P_j form a complete orthogonal set; any other u is rejected.
-    """
-    n = u.shape[1]
-    if np.max(np.abs(_dagger(u) @ u - np.eye(n))) > TRACE_TOL:
-        raise IncompleteProjectorSetError("measurement basis is not orthonormal")
-    q = np.einsum("kia,kij,kja->ka", u.conj(), rho, u).real
-    out = (u * q[:, None, :]) @ _dagger(u)
-    return 0.5 * (out + _dagger(out))
+    column j of the unitary `basis`: U diag(q) U† for the outcome
+    probabilities q = diag(U† rho U)."""
+    u = np.asarray(basis, dtype=complex)
+    q = _outcome_stack(rho.matrix[None], u[None])[0]
+    return validate_density((u * q) @ _dagger(u))

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from references import uniform_curve_at
+from references import FIG1_ENVELOPE as ENVELOPE, uniform_curve_at
 
 from qentropy import (
     EXCESS_BOUND,
@@ -23,7 +23,6 @@ from qentropy import (
 )
 from qentropy.cli import main as cli_main
 from qentropy.experiments import (
-    FIG1_ENVELOPE as ENVELOPE,
     fig1_inset,
     fig1_random_mixtures,
     fig1_uniform_curve,

@@ -429,6 +429,26 @@ class TestExperimentCommands:
         for name, seen in shapes.items():
             assert seen and len(seen) == len(set(seen)), (name, seen)
 
+    def test_check_eigvalsh_step_sees_only_partial_traces(self, capsys, monkeypatch):
+        # a measurement's spectrum is its outcome distribution, so in a
+        # check op of the benchmark's shape the eigvalsh step gets only the
+        # reduced states, one for ei1 and two for ei3 per trial: on 2x2,
+        # 2x3 and 3x3, five of dimension 2 and four of dimension 3
+        from qentropy import experiments
+
+        seen = []
+        real = experiments._eigenspectra
+
+        def wrapper(stack):
+            seen.extend([stack.shape[1:]] * len(stack))
+            return real(stack)
+        monkeypatch.setattr(experiments, "_eigenspectra", wrapper)
+        code, _, _ = run(capsys, "check", "--trials", "3", "--dims", "2x2,2x3,3x3",
+                         "--dim", "4", "--seed", "4")
+        assert code == 0
+        want = {(2, 2): 3 * 5, (3, 3): 3 * 4}
+        assert {shape: seen.count(shape) for shape in set(seen)} == want
+
     @pytest.mark.parametrize("inequality_id", ["ei1", "ei2", "ei3", "ei3a",
                                                "measurement_monotonicity"])
     def test_check_one_id_prints_its_row_of_the_full_run(self, capsys, inequality_id):
@@ -492,9 +512,7 @@ class TestExperimentCommands:
         def synthetic(inequality_id):
             rep = experiments.InequalityReport(inequality_id)
             margin = -1.0 if inequality_id == violated else 0.5
-            if rep.record(margin):
-                rep.certificates.append(experiments.Certificate(
-                    inequality_id, 1, 0, 5, 0, (2, 2), lhs=0.0, rhs=margin, margin=margin))
+            rep.record(0.0, margin, 1, 0, RngStream(5), (2, 2))
             return rep
 
         monkeypatch.setattr(experiments, "run_checks", lambda ids, trials, dims, dim, rng: [
@@ -567,6 +585,35 @@ class TestExperimentCommands:
         assert (code, out) == (3, "")
         assert err.startswith("validation error:")
         assert f"--dim {dim} is above 8192" in err
+
+    def test_long_spectrum_file_over_cap(self, capsys, monkeypatch, spectrum_file):
+        # pdensity's B-spline builds N x N arrays and a basis-mode sample
+        # draws an N x (N-1) complex matrix, whether N comes from --dim or
+        # from the file; entropy and sphere-mode mc need O(N) and still run
+        from qentropy import entropy, montecarlo
+
+        def refuse(*args):
+            raise AssertionError("N x N code reached")
+
+        real_chunk_values = montecarlo._chunk_values
+
+        def chunk_values(p, count, gen, mode):
+            if mode == "basis":
+                refuse()
+            return real_chunk_values(p, count, gen, mode)
+
+        monkeypatch.setattr(entropy, "_bspline", refuse)
+        monkeypatch.setattr(montecarlo, "_chunk_values", chunk_values)
+        v = np.arange(1, 8194, dtype=float)
+        path = spectrum_file(" ".join(map(repr, (v / v.sum()).tolist())))
+        for argv in (["pdensity", "--grid", "5"],
+                     ["mc", "--mode", "basis", "--samples", "100"]):
+            code, out, err = run(capsys, *argv, "--spectrum", path)
+            assert (code, out) == (3, "")
+            assert "dimension 8193 is above 8192" in err
+        for argv in (["entropy"], ["mc", "--mode", "sphere", "--samples", "100"]):
+            code, out, _ = run(capsys, *argv, "--spectrum", path)
+            assert code == 0 and out
 
     def test_padded_dimension_at_cap_runs(self, capsys, spectrum_file):
         code, out, _ = run(capsys, "entropy", "--spectrum", spectrum_file("0.5 0.5"),

@@ -13,6 +13,7 @@ from qentropy import (
     DimensionMismatchError,
     EULER_GAMMA,
     EXCESS_BOUND,
+    IncompleteProjectorSetError,
     InvalidDistributionError,
     RngStream,
     absolute_entropy,
@@ -161,6 +162,14 @@ class TestConditionalEntropy:
         assert conditional_entropy(rho, h) == pytest.approx(math.log(2), abs=1e-12)
         with pytest.raises(DimensionMismatchError):
             conditional_entropy(rho, [[1, 0, 0], [0, 1, 0]])
+
+    @pytest.mark.parametrize("basis", [[[1.0, 1.0], [0.0, 1.0]], np.diag([1.0, 0.5])],
+                             ids=["oblique", "short-column"])
+    def test_non_unitary_basis_rejected(self, basis):
+        # the outcome probabilities of projective_update, with its check
+        rho = validate_density(np.diag([0.7, 0.3]))
+        with pytest.raises(IncompleteProjectorSetError):
+            conditional_entropy(rho, basis)
 
 
 class TestMinimumUncertainty:

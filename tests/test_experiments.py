@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from references import uniform_curve_at
+from references import FIG1_ENVELOPE, uniform_curve_at
 
 from qentropy import (
     EXCESS_BOUND,
@@ -60,7 +60,6 @@ class TestFig1RandomMixtures:
             assert 0.0 <= r.s_h <= math.log(8) + 1e-12
 
     def test_scatter_near_uniform_curve(self):
-        from qentropy.experiments import FIG1_ENVELOPE
         rows = fig1_random_mixtures(8, 200, RngStream(173))
         for r in rows:
             assert abs(r.s_f - uniform_curve_at(r.s_h)) <= FIG1_ENVELOPE

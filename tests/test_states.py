@@ -20,6 +20,7 @@ from qentropy import (
 )
 from qentropy.experiments import random_density_hs
 from qentropy.montecarlo import _sphere_weights
+from qentropy.states import _ginibre, _haar_from_normals, _outcome_stack
 
 
 def two_level_eigs(a, d, b):
@@ -119,16 +120,12 @@ class TestSpectrumClustering:
 
 
 class TestHaarUnitary:
+    # the program's Haar sampler: phase-fixed QR of a Ginibre stack
     def test_mean_moment(self):
         # Haar moment: E|U_ij|^2 = 1/N
         n, samples = 4, 10_000
         gen = RngStream(7).generator()
-        vals = np.empty(samples)
-        for k in range(samples):
-            z = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
-            q, r = np.linalg.qr(z)
-            q = q * (np.diag(r) / np.abs(np.diag(r)))
-            vals[k] = abs(q[0, 0]) ** 2
+        vals = np.abs(_haar_from_normals(_ginibre([gen] * samples, n)[0])[:, 0, 0]) ** 2
         se = vals.std(ddof=1) / np.sqrt(samples)
         assert abs(vals.mean() - 1.0 / n) <= 4 * se
 
@@ -137,20 +134,13 @@ class TestHaarUnitary:
         # |U_rj|^2 of a Haar column follows the density (N-1)(1-s)^(N-2)
         samples = 10_000
         gen = RngStream(9, n).generator()
-        vals = np.empty(samples)
-        for k in range(samples):
-            z = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
-            q, r = np.linalg.qr(z)
-            q = q * (np.diag(r) / np.abs(np.diag(r)))
-            vals[k] = abs(q[1, 0]) ** 2
+        vals = np.abs(_haar_from_normals(_ginibre([gen] * samples, n)[0])[:, 1, 0]) ** 2
         res = scipy.stats.kstest(vals, lambda s: 1 - (1 - s) ** (n - 1))
         assert res.pvalue > 0.001
 
 
 class TestGinibre:
     def test_stacks_hold_the_per_matrix_draws(self):
-        from qentropy.states import _ginibre
-
         gens = [RngStream(43, i).generator() for i in range(3)]
         a, b = _ginibre(gens, 2, 3)
         for i in range(3):
@@ -160,8 +150,6 @@ class TestGinibre:
                 assert np.array_equal(stack[i], z)
 
     def test_rejects_dimension_below_one(self):
-        from qentropy.states import _ginibre
-
         with pytest.raises(DimensionMismatchError):
             _ginibre([RngStream(47).generator()], 0)
 
@@ -259,23 +247,21 @@ class TestProjectiveUpdate:
         assert np.max(np.abs(twice.matrix - once.matrix)) <= 1e-12
 
     def test_dephasing_identity_matches_projector_sum(self):
-        from qentropy.states import _dephase_stack
-
-        rhos = np.stack([random_density_hs(3, RngStream(31, i).generator()).matrix
-                         for i in range(4)])
+        # U diag(U† rho U) U† is sum_j P_j rho P_j, and its diagonal in the
+        # basis U is the outcome distribution of the stack helper
+        rhos = [random_density_hs(3, RngStream(31, i).generator()) for i in range(4)]
         us = np.stack([haar_unitary(3, RngStream(37, i)) for i in range(4)])
-        want = []
-        for rho, u in zip(rhos, us):
+        q = _outcome_stack(np.stack([rho.matrix for rho in rhos]), us)
+        for rho, u, q_row in zip(rhos, us, q):
             projs = [np.outer(u[:, j], u[:, j].conj()) for j in range(3)]
-            want.append(sum(p @ rho @ p for p in projs))
-        assert np.max(np.abs(_dephase_stack(rhos, us) - np.stack(want))) <= 1e-14
+            want = sum(p @ rho.matrix @ p for p in projs)
+            assert np.max(np.abs(projective_update(rho, u).matrix - want)) <= 1e-14
+            assert np.max(np.abs(np.diag(u.conj().T @ want @ u).real - q_row)) <= 1e-14
 
     def test_dephasing_rejects_non_unitary_basis(self):
-        from qentropy.states import _dephase_stack
-
         rho = np.eye(2, dtype=complex)[None] / 2
         with pytest.raises(IncompleteProjectorSetError):
-            _dephase_stack(rho, np.diag([1.0, 0.5]).astype(complex)[None])
+            _outcome_stack(rho, np.diag([1.0, 0.5]).astype(complex)[None])
 
     def test_incomplete_set(self):
         rho = validate_density(np.eye(2) / 2)
